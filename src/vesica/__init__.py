@@ -35,18 +35,14 @@ from .dsl import (
     parse,
 )
 from .methods import (
-    AngleConfig,
     DomainError,
     ErrorRow,
     Method,
     PolygonResult,
     RectificationResult,
     UnsupportedN,
-    angle_x,
-    angle_y,
     best_method,
     bion_angle,
-    bion_config,
     bion_program,
     error_table,
     exact_rectifier_distance,
@@ -56,7 +52,6 @@ from .methods import (
     rectified_quadrant,
     relative_error_limit,
     tempier_angle,
-    tempier_config,
     tempier_program,
 )
 from .constructible import (

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (bad n, malformed
-program, failed construction).  User errors never produce a stack trace.
-Identical argv and input files produce byte-identical output.
+program, failed construction, input over a size bound).  User errors never
+produce a stack trace.  Identical argv and input files produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,6 +23,11 @@ _DOMAIN_ERRORS = (
     dsl.ParseError,
     dsl.EvalError,
 )
+
+
+# Bounds on CLI input that keep memory and time small; the library takes any size.
+_MAX_TABLE_ROWS = 100_000
+_MAX_POLYGON_N = 10_000
 
 
 class _UsageError(Exception):
@@ -51,13 +56,10 @@ def _row_values(row: methods.ErrorRow, paper: bool) -> list:
 
 def _cmd_angle(ns) -> int:
     method = _method(ns.method)
-    if ns.base is not None:
-        if method is not Method.TEMPIER:
-            print("error: --base is only supported for tempier", file=sys.stderr)
-            return 1
-        approx = methods.tempier_angle(ns.n, ns.base)
-    else:
-        approx = methods.method_angle(method, ns.n)
+    if ns.base is not None and method is not Method.TEMPIER:
+        print("error: --base is only supported for tempier", file=sys.stderr)
+        return 1
+    approx = methods.method_angle(method, ns.n, SQRT3 if ns.base is None else ns.base)
     exact = methods.TAU / ns.n
     error = exact - approx
     print(f"approx    {approx!r}")
@@ -68,6 +70,8 @@ def _cmd_angle(ns) -> int:
 
 
 def _cmd_table(ns) -> int:
+    if ns.stop - ns.start + 1 > _MAX_TABLE_ROWS:
+        raise ValueError(f"a table holds at most {_MAX_TABLE_ROWS} rows (--from to --to)")
     rows = methods.error_table(_method(ns.method), ns.start, ns.stop)
     if ns.format == "json":
         payload = [
@@ -112,6 +116,8 @@ def _cmd_run(ns) -> int:
 
 
 def _cmd_polygon(ns) -> int:
+    if ns.n > _MAX_POLYGON_N:
+        raise ValueError(f"polygon supports n <= {_MAX_POLYGON_N}, got n={ns.n}")
     result = methods.polygon(_method(ns.method), ns.n)
     _write_svg(ns.svg, render_polygon(result, _render_options(ns)))
     print(f"closure_gap = {result.closure_gap!r}")

@@ -97,7 +97,7 @@ class SelectorEmpty(EvalError):
 _SYMBOLIC = {"pi": math.pi, "sqrt3": math.sqrt(3.0)}
 
 _SELECTOR_KINDS = frozenset(
-    {"first", "second", "upper", "lower", "left", "right", "near", "both"}
+    {"first", "second", "upper", "lower", "left", "right", "near"}
 )
 
 _KEYWORDS = frozenset(
@@ -126,7 +126,7 @@ class Num:
 
 @dataclass(frozen=True, slots=True)
 class Selector:
-    """Disambiguates which intersection point(s) a statement binds."""
+    """Disambiguates which intersection point a one-name intersect binds."""
 
     kind: str
     ref: str | None = None
@@ -174,13 +174,13 @@ class Intersect:
     names: tuple[str, ...]
     a: str
     b: str
-    pick: Selector
+    pick: Selector | None  # None binds both points, for two result names
 
     def __post_init__(self) -> None:
         if len(self.names) not in (1, 2):
             raise ValueError("intersect binds one or two names")
-        if (len(self.names) == 2) != (self.pick.kind == "both"):
-            raise ValueError("selector `both` goes with exactly two result names")
+        if (len(self.names) == 2) != (self.pick is None):
+            raise ValueError("one result name takes a selector; two take none")
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,9 +225,6 @@ class Figure:
     points: dict[str, Point] = field(default_factory=dict)
     curves: dict[str, Curve] = field(default_factory=dict)
     scalars: dict[str, float] = field(default_factory=dict)
-
-    def is_empty(self) -> bool:
-        return not (self.points or self.curves or self.scalars)
 
     def _bind(self, kind: dict, name: str, value) -> None:
         if name in self.points or name in self.curves or name in self.scalars:
@@ -399,14 +396,12 @@ class _LineParser:
                 raise self._fail("pick clause not allowed with two result names")
             self._advance()
             return Intersect(names, a, b, self._selector())
-        pick = Selector("both") if len(names) == 2 else Selector("first")
+        pick = None if len(names) == 2 else Selector("first")
         return Intersect(names, a, b, pick)
 
     def _selector(self) -> Selector:
         tok = self.current
-        if tok.kind != "name" or tok.text not in (
-            "first", "second", "upper", "lower", "left", "right", "near",
-        ):
+        if tok.kind != "name" or tok.text not in _SELECTOR_KINDS:
             raise self._fail(f"expected a selector, found {self._describe()}")
         self._advance()
         if tok.text == "near":
@@ -464,7 +459,7 @@ def format_statement(stmt: Statement) -> str:
         case CircleRadDef(name, center, rad_from, rad_to):
             return f"circle {name} = {center} radius {rad_from} {rad_to}"
         case Intersect(names, a, b, pick):
-            if pick.kind == "both":
+            if pick is None:
                 return f"intersect {names[0]} {names[1]} = {a} {b}"
             return f"intersect {names[0]} = {a} {b} pick {_selector_text(pick)}"
         case Divide(name, start, end, n, k):
@@ -521,10 +516,8 @@ def _select(pick: Selector, points: list[Point], fig: Figure) -> Point:
             return min(points, key=lambda p: p.x)
         case "right":
             return max(points, key=lambda p: p.x)
-        case "near":
-            anchor = _lookup_point(fig, pick.ref)
-            return min(points, key=lambda p: distance(anchor, p))
-    raise ValueError(f"selector {pick.kind!r} does not pick a single point")
+    anchor = _lookup_point(fig, pick.ref)  # "near", the one kind left
+    return min(points, key=lambda p: distance(anchor, p))
 
 
 def evaluate(program: Program, tol: Tolerance = DEFAULT_TOLERANCE) -> Figure:
@@ -549,7 +542,7 @@ def evaluate(program: Program, tol: Tolerance = DEFAULT_TOLERANCE) -> Figure:
                 fig._bind(fig.curves, name, Circle(_lookup_point(fig, center), radius))
             case Intersect(names, a, b, pick):
                 hits = intersect_curves(_lookup_curve(fig, a), _lookup_curve(fig, b), tol)
-                if pick.kind == "both":
+                if pick is None:
                     if len(hits) < 2:
                         raise SelectorEmpty(
                             f"binding {names[0]!r} and {names[1]!r} needs two "

@@ -26,8 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
-from .geometry import EPS_GEOM, EPS_TEST, Point, rotate
+from .geometry import EPS_GEOM, Point, rotate
 from .dsl import (
     CircleDef,
     Divide,
@@ -45,14 +46,9 @@ __all__ = [
     "Method",
     "UnsupportedN",
     "DomainError",
-    "AngleConfig",
     "ErrorRow",
     "RectificationResult",
     "PolygonResult",
-    "angle_x",
-    "angle_y",
-    "bion_config",
-    "tempier_config",
     "bion_angle",
     "tempier_angle",
     "method_angle",
@@ -94,29 +90,27 @@ def _require_n(n: int) -> None:
         raise UnsupportedN(f"circle division is supported for n >= 4, got n={n}")
 
 
+def _require_base(base_distance: float) -> None:
+    if not (base_distance > 0.0 and math.isfinite(base_distance)):
+        raise ValueError(f"base distance must be positive, got {base_distance}")
+
+
 @dataclass(frozen=True, slots=True)
-class AngleConfig:
-    """Right-triangle data the angle formulas consume.
+class _MethodSpec:
+    """What one method's closed form, program, polygon and limit derive from."""
 
-    a: distance from the center to the aiming point on the diameter,
-    b: distance from the center down to the base point V,
-    c: distance from V to the aiming point (hypotenuse),
-    d: circle radius (1 in practice).
-    """
+    aim: str                                    # name of the aiming point on BA
+    division: Callable[[int], tuple[int, int]]  # n -> (parts, index) of BA, from B
+    reference: str                              # theta is measured from B or D
+    limit: float                                # 1 - n*theta/(2*pi) as n -> inf
 
-    a: float
-    b: float
-    c: float
-    d: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.a < 0 or self.b <= 0 or self.c <= 0 or self.d <= 0:
-            raise ValueError(f"invalid side lengths a={self.a} b={self.b} c={self.c} d={self.d}")
-        gap = self.c * self.c - (self.a * self.a + self.b * self.b)
-        if abs(gap) > EPS_TEST * max(1.0, self.c * self.c):
-            raise ValueError(
-                f"sides violate c^2 = a^2 + b^2: c^2 - (a^2+b^2) = {gap}"
-            )
+_SPECS = {
+    Method.BION: _MethodSpec("F", lambda n: (n, 2), "B", 1.0 - 2.0 * SQRT3 / math.pi),
+    Method.TEMPIER: _MethodSpec(
+        "T", lambda n: (2 * n, n - 4), "D", -(6.0 + 2.0 * SQRT3 - 3.0 * math.pi) / (3.0 * math.pi)
+    ),
+}
 
 
 def _arc_arg(value: float, what: str) -> float:
@@ -126,44 +120,25 @@ def _arc_arg(value: float, what: str) -> float:
     return max(-1.0, min(1.0, value))
 
 
-def angle_x(cfg: AngleConfig) -> float:
-    """Angle at the center, measured from the left diameter endpoint.
-
-    x = arcsin(b/c) - arcsin(a*b/(c*d)), in (0, pi/2].
+def _closed_form(a: float, b: float, reference: str) -> float:
+    """Angle at the center of the unit circle from the reference point to the
+    upper hit G of the ray from V = (0, -b) through (-a, 0); with c = hypot(a, b)
+    it is arcsin(b/c) - arcsin(a*b/c) from B, arccos(-a/c) - arccos(a*b/c) from D.
     """
-    s1 = _arc_arg(cfg.b / cfg.c, "b/c")
-    s2 = _arc_arg(cfg.a * cfg.b / (cfg.c * cfg.d), "a*b/(c*d)")
-    return math.asin(s1) - math.asin(s2)
+    c = math.hypot(a, b)
+    inner = _arc_arg(a * b / c, "a*b/c")
+    if reference == "B":
+        return math.asin(_arc_arg(b / c, "b/c")) - math.asin(inner)
+    return math.acos(_arc_arg(-a / c, "-a/c")) - math.acos(inner)
 
 
-def angle_y(cfg: AngleConfig) -> float:
-    """Angle at the center, measured from the top of the vertical diameter.
-
-    y = arccos(-a/c) - arccos(a*b/(c*d)), in (0, pi/2]; complements angle_x
-    to pi/2 on the same configuration.
-    """
-    c1 = _arc_arg(-cfg.a / cfg.c, "-a/c")
-    c2 = _arc_arg(cfg.a * cfg.b / (cfg.c * cfg.d), "a*b/(c*d)")
-    return math.acos(c1) - math.acos(c2)
-
-
-def bion_config(n: int) -> AngleConfig:
-    """Sides of the aiming triangle for the Bion n-gon: a = (n-4)/n."""
+def method_angle(method: Method, n: int, base_distance: float = SQRT3) -> float:
+    """The method's approximation to 2*pi/n, with V base_distance below the center."""
     _require_n(n)
-    a = (n - 4) / n
-    return AngleConfig(a=a, b=SQRT3, c=math.hypot(a, SQRT3))
-
-
-def tempier_config(n: int, base_distance: float = SQRT3) -> AngleConfig:
-    """Sides of the aiming triangle for the Tempier n-gon: a = 4/n.
-
-    base_distance generalizes how far below the center the base point sits.
-    """
-    _require_n(n)
-    if not (base_distance > 0.0 and math.isfinite(base_distance)):
-        raise ValueError(f"base distance must be positive, got {base_distance}")
-    a = 4.0 / n
-    return AngleConfig(a=a, b=base_distance, c=math.hypot(a, base_distance))
+    _require_base(base_distance)
+    spec = _SPECS[method]
+    parts, index = spec.division(n)
+    return _closed_form((parts - 2 * index) / parts, base_distance, spec.reference)
 
 
 def bion_angle(n: int) -> float:
@@ -174,11 +149,7 @@ def bion_angle(n: int) -> float:
 
     Exact (equal to 2*pi/n) only for n = 4 and n = 6.
     """
-    _require_n(n)
-    root = 2.0 * math.sqrt(n * n - 2.0 * n + 4.0)
-    return math.asin(_arc_arg(SQRT3 * n / root, "b/c")) - math.asin(
-        _arc_arg(SQRT3 * (n - 4) / root, "a*b/(c*d)")
-    )
+    return method_angle(Method.BION, n)
 
 
 def tempier_angle(n: int, base_distance: float = SQRT3) -> float:
@@ -188,67 +159,46 @@ def tempier_angle(n: int, base_distance: float = SQRT3) -> float:
     y(n) = arccos(-4 / sqrt(3 n^2 + 16)) - arccos(4 sqrt(3) / sqrt(3 n^2 + 16));
     a different base_distance substitutes for sqrt(3) throughout.
     """
-    return angle_y(tempier_config(n, base_distance))
-
-
-def method_angle(method: Method, n: int) -> float:
-    """The chosen method's approximation to the central angle 2*pi/n."""
-    return bion_angle(n) if method is Method.BION else tempier_angle(n)
+    return method_angle(Method.TEMPIER, n, base_distance)
 
 
 # --- construction programs ----------------------------------------------------
 
-def _base_statements() -> list:
-    # Canonical frame: unit circle about C, diameter B(-1,0) -- A(1,0),
-    # vesica arcs about both endpoints with radius |BA|, V picked below.
-    return [
-        PointDef("C", Num(0.0), Num(0.0)),
-        PointDef("B", Num(-1.0), Num(0.0)),
-        PointDef("A", Num(1.0), Num(0.0)),
-        CircleDef("main", "C", "B"),
-        CircleDef("arcB", "B", "A"),
-        CircleDef("arcA", "A", "B"),
-        Intersect(("V",), "arcB", "arcA", Selector("lower")),
-    ]
-
-
-def bion_program(n: int) -> Program:
-    """DSL program constructing the Bion angle for the n-gon.
-
-    Evaluating it yields scalar ``theta`` equal to ``bion_angle(n)``: the ray
-    from V through the second diameter division point F (of n, from the left)
-    meets the circle at G, and theta measures G from endpoint B.
-    """
-    _require_n(n)
-    statements = _base_statements() + [
-        Divide("F", "B", "A", n, 2),
-        LineDef("ray", "V", "F"),
-        Intersect(("G",), "ray", "main", Selector("upper")),
-        MeasureAngle("theta", "C", "B", "G"),
-    ]
-    return Program(tuple(statements))
-
-
-def tempier_program(n: int) -> Program:
-    """DSL program constructing the Tempier angle for the n-gon.
-
-    The aiming point T sits two n-th parts of the diameter left of center
-    (reached as division n-4 of 2n equal parts from B), and ``theta``
-    measures the circle hit G from the top point D of the vertical diameter.
-    """
-    _require_n(n)
-    statements = _base_statements() + [
-        PointDef("D", Num(0.0), Num(1.0)),
-        Divide("T", "B", "A", 2 * n, n - 4),
-        LineDef("ray", "V", "T"),
-        Intersect(("G",), "ray", "main", Selector("upper")),
-        MeasureAngle("theta", "C", "D", "G"),
-    ]
-    return Program(tuple(statements))
+# Canonical frame: unit circle about C, diameter B(-1,0) -- A(1,0),
+# vesica arcs about both endpoints with radius |BA|, V picked below.
+_FRAME = (
+    PointDef("C", Num(0.0), Num(0.0)),
+    PointDef("B", Num(-1.0), Num(0.0)),
+    PointDef("A", Num(1.0), Num(0.0)),
+    CircleDef("main", "C", "B"),
+    CircleDef("arcB", "B", "A"),
+    CircleDef("arcA", "A", "B"),
+    Intersect(("V",), "arcB", "arcA", Selector("lower")),
+)
 
 
 def method_program(method: Method, n: int) -> Program:
-    return bion_program(n) if method is Method.BION else tempier_program(n)
+    """DSL program whose ``theta`` constructs ``method_angle(method, n)``: the ray
+    from V through the aiming point hits the circle at G, measured from the reference."""
+    _require_n(n)
+    spec = _SPECS[method]
+    reference = (PointDef("D", Num(0.0), Num(1.0)),) if spec.reference == "D" else ()
+    return Program(_FRAME + reference + (
+        Divide(spec.aim, "B", "A", *spec.division(n)),
+        LineDef("ray", "V", spec.aim),
+        Intersect(("G",), "ray", "main", Selector("upper")),
+        MeasureAngle("theta", "C", spec.reference, "G"),
+    ))
+
+
+def bion_program(n: int) -> Program:
+    """Bion: aim through the second of n diameter divisions F, measure from B."""
+    return method_program(Method.BION, n)
+
+
+def tempier_program(n: int) -> Program:
+    """Tempier: aim through T, 4/n left of center (n-4 of 2n parts), measure from D."""
+    return method_program(Method.TEMPIER, n)
 
 
 # --- tables and analysis -------------------------------------------------------
@@ -315,9 +265,7 @@ def relative_error_limit(method: Method) -> float:
     / (3*pi) (about -0.0042), which is exactly the quadrant-rectification
     error of the base point V.
     """
-    if method is Method.BION:
-        return 1.0 - 2.0 * SQRT3 / math.pi
-    return -(6.0 + 2.0 * SQRT3 - 3.0 * math.pi) / (3.0 * math.pi)
+    return _SPECS[method].limit
 
 
 def best_method(n: int) -> Method | None:
@@ -326,13 +274,12 @@ def best_method(n: int) -> Method | None:
     Returns None on a tie, i.e. when the two agree within 1e-4 (covers the
     exact n=4 case and the near-tie at n=8).
     """
-    _require_n(n)
     exact = TAU / n
-    bion = abs(exact - bion_angle(n)) / exact
-    tempier = abs(exact - tempier_angle(n)) / exact
-    if abs(bion - tempier) <= TIE_TOLERANCE:
+    errors = {m: abs(exact - method_angle(m, n)) / exact for m in _SPECS}
+    low, high = sorted(errors.values())
+    if high - low <= TIE_TOLERANCE:
         return None
-    return Method.BION if bion < tempier else Method.TEMPIER
+    return min(errors, key=errors.get)
 
 
 def rectified_quadrant(base_distance: float) -> RectificationResult:
@@ -342,8 +289,7 @@ def rectified_quadrant(base_distance: float) -> RectificationResult:
     quadrant's top onto the tangent line so that the rectified quadrant has
     length (d+1)/d; twice that is the implied approximation of pi.
     """
-    if not (base_distance > 0.0 and math.isfinite(base_distance)):
-        raise ValueError(f"base distance must be positive, got {base_distance}")
+    _require_base(base_distance)
     return RectificationResult(
         base_distance, 2.0 * (base_distance + 1.0) / base_distance
     )

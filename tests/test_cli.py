@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from vesica import cli
 from vesica.cli import main
 from vesica.methods import bion_angle, tempier_angle
 
@@ -108,6 +109,18 @@ def test_table_rejects_bad_range(capsys):
     assert code == 2 and err != ""
 
 
+def test_table_row_bound(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.methods, "error_table", lambda *args: calls.append(args) or [])
+    code, _, _ = run_cli(capsys, "table", "bion", "--to", str(3 + cli._MAX_TABLE_ROWS))
+    assert code == 0 and len(calls) == 1
+    code, out, err = run_cli(capsys, "table", "bion", "--to", str(4 + cli._MAX_TABLE_ROWS))
+    assert code == 2 and out == "" and "at most 100000 rows" in err
+    code, _, err = run_cli(capsys, "table", "bion", "--to", "1000000000")
+    assert code == 2 and "Traceback" not in err
+    assert len(calls) == 1  # rejected before any row is built
+
+
 # --- construct / run ----------------------------------------------------------------
 
 def test_construct_stdout_parses(capsys):
@@ -177,6 +190,13 @@ def test_polygon_writes_svg_and_reports_gap(capsys, tmp_path):
 def test_polygon_requires_svg_flag(capsys):
     code, _, err = run_cli(capsys, "polygon", "bion", "9")
     assert code == 1 and err != ""
+
+
+def test_polygon_n_bound(capsys, tmp_path):
+    svg = tmp_path / "big.svg"
+    code, out, err = run_cli(capsys, "polygon", "bion", "10001", "--svg", str(svg))
+    assert code == 2 and out == "" and "n <= 10000" in err
+    assert not svg.exists()
 
 
 def test_unwritable_output_path_exits_1(capsys):

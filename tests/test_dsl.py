@@ -53,7 +53,20 @@ def test_parse_intersect_defaults():
     (stmt,) = parse("intersect V = c1 c2").statements
     assert stmt.pick == Selector("first")
     (stmt,) = parse("intersect P Q = c1 c2").statements
-    assert stmt == Intersect(("P", "Q"), "c1", "c2", Selector("both"))
+    assert stmt == Intersect(("P", "Q"), "c1", "c2", None)
+
+
+def test_intersect_selector_goes_with_one_name():
+    with pytest.raises(ValueError):
+        Intersect(("P", "Q"), "c1", "c2", Selector("first"))
+    with pytest.raises(ValueError):
+        Intersect(("P",), "c1", "c2", None)
+    with pytest.raises(ValueError):
+        Selector("both")
+    for text in ("intersect P Q = c1 c2 pick first", "intersect P = c1 c2 pick both",
+                 "intersect both = c1 c2"):
+        with pytest.raises(ParseError):
+            parse(text)
 
 
 def test_parse_divide():
@@ -317,7 +330,7 @@ _statements = st.one_of(
     st.builds(CircleDef, _names, _names, _names),
     st.builds(CircleRadDef, _names, _names, _names, _names),
     st.builds(lambda n, a, b, s: Intersect((n,), a, b, s), _names, _names, _names, _selectors),
-    st.builds(lambda n, m, a, b: Intersect((n, m), a, b, Selector("both")),
+    st.builds(lambda n, m, a, b: Intersect((n, m), a, b, None),
               _names, _names, _names, _names),
     st.builds(Divide, _names, _names, _names, st.integers(1, 60), st.integers(0, 60)),
     st.builds(MeasureAngle, _names, _names, _names, _names),

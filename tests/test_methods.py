@@ -1,19 +1,17 @@
 import math
 
+import mpmath
 import pytest
 
 from vesica.dsl import evaluate, format_program, parse
 from vesica.methods import (
-    AngleConfig,
     DomainError,
     Method,
     SQRT3,
     UnsupportedN,
-    angle_x,
-    angle_y,
+    _closed_form,
     best_method,
     bion_angle,
-    bion_config,
     bion_program,
     error_table,
     exact_rectifier_distance,
@@ -21,7 +19,6 @@ from vesica.methods import (
     rectified_quadrant,
     relative_error_limit,
     tempier_angle,
-    tempier_config,
     tempier_program,
 )
 
@@ -31,56 +28,35 @@ TAU = 2 * math.pi
 # --- angle formulas -------------------------------------------------------------
 
 def test_angle_x_nonagon():
-    cfg = AngleConfig(a=5 / 9, b=SQRT3, c=2 * math.sqrt(67) / 9)
-    assert angle_x(cfg) == pytest.approx(0.7030, abs=5e-5)
+    assert _closed_form(5 / 9, SQRT3, "B") == pytest.approx(0.7030, abs=5e-5)
 
 
 def test_angle_x_square_case():
-    assert angle_x(AngleConfig(a=0.0, b=SQRT3, c=SQRT3)) == pytest.approx(
-        math.pi / 2, abs=1e-15
-    )
+    assert _closed_form(0.0, SQRT3, "B") == pytest.approx(math.pi / 2, abs=1e-15)
 
 
 def test_angle_x_hexagon_exact():
-    cfg = AngleConfig(a=1 / 3, b=SQRT3, c=math.sqrt(3 + 1 / 9))
-    assert angle_x(cfg) == pytest.approx(math.pi / 3, abs=1e-12)
+    assert _closed_form(1 / 3, SQRT3, "B") == pytest.approx(math.pi / 3, abs=1e-12)
 
 
 def test_angle_y_nonagon():
-    cfg = AngleConfig(a=4 / 9, b=SQRT3, c=math.sqrt(259) / 9)
-    assert angle_y(cfg) == pytest.approx(0.6962, abs=5e-5)
+    assert _closed_form(4 / 9, SQRT3, "D") == pytest.approx(0.6962, abs=5e-5)
 
 
 def test_angle_y_square_case():
-    assert angle_y(AngleConfig(a=1.0, b=SQRT3, c=2.0)) == pytest.approx(
-        math.pi / 2, abs=1e-15
-    )
+    assert _closed_form(1.0, SQRT3, "D") == pytest.approx(math.pi / 2, abs=1e-15)
 
 
 def test_angle_y_dodecagon_exact():
-    cfg = AngleConfig(a=1 / 3, b=SQRT3, c=math.sqrt(3 + 1 / 9))
-    assert angle_y(cfg) == pytest.approx(math.pi / 6, abs=1e-12)
-
-
-def test_angle_config_rejects_broken_triangle():
-    with pytest.raises(ValueError):
-        AngleConfig(a=1.0, b=1.0, c=3.0)
-    with pytest.raises(ValueError):
-        AngleConfig(a=-0.1, b=1.0, c=math.hypot(0.1, 1.0))
+    assert _closed_form(1 / 3, SQRT3, "D") == pytest.approx(math.pi / 6, abs=1e-12)
 
 
 def test_domain_error_when_sine_argument_exceeds_one():
-    cfg = AngleConfig(a=0.9, b=5.0, c=math.hypot(0.9, 5.0), d=0.5)
+    # aiming point (-5, 0) lies outside the unit circle: a*b/c = 5/sqrt(2)
     with pytest.raises(DomainError):
-        angle_x(cfg)
+        _closed_form(5.0, 5.0, "B")
     with pytest.raises(DomainError):
-        angle_y(cfg)
-
-
-def test_configs_satisfy_right_triangle_identity():
-    for n in range(4, 201):
-        for cfg in (bion_config(n), tempier_config(n)):
-            assert cfg.c**2 == pytest.approx(cfg.a**2 + cfg.b**2, abs=1e-12)
+        _closed_form(5.0, 5.0, "D")
 
 
 # --- closed forms ---------------------------------------------------------------
@@ -100,8 +76,37 @@ def test_bion_angle_20gon():
 
 
 def test_bion_agrees_with_general_formula():
+    # the paper's explicit x(n), written out
     for n in range(4, 201):
-        assert bion_angle(n) == pytest.approx(angle_x(bion_config(n)), abs=1e-14)
+        root = 2.0 * math.sqrt(n * n - 2.0 * n + 4.0)
+        x = math.asin(SQRT3 * n / root) - math.asin(SQRT3 * (n - 4) / root)
+        assert bion_angle(n) == pytest.approx(x, abs=1e-14)
+
+
+def _oracle_angle(method: Method, n: int) -> mpmath.mpf:
+    """The construction itself at 50 digits: intersect the ray from
+    V = (0, -sqrt3) through the aiming point with the unit circle and measure
+    the upper hit G from the reference point.  No arcsin/arccos formula."""
+    with mpmath.workdps(50):
+        aim, ref = {
+            Method.BION: (-1 + mpmath.mpf(4) / n, (-1, 0)),
+            Method.TEMPIER: (-mpmath.mpf(4) / n, (0, 1)),
+        }[method]
+        vy = -mpmath.sqrt(3)
+        dx, dy = aim, -vy
+        # |V + t (dx, dy)|^2 = 1, larger root is the upper hit
+        qa, qb, qc = dx * dx + dy * dy, 2 * vy * dy, vy * vy - 1
+        t = (-qb + mpmath.sqrt(qb * qb - 4 * qa * qc)) / (2 * qa)
+        gx, gy = t * dx, vy + t * dy
+        return mpmath.atan2(abs(ref[0] * gy - ref[1] * gx), ref[0] * gx + ref[1] * gy)
+
+
+def test_closed_forms_match_50_digit_oracle():
+    for method, closed_form in ((Method.BION, bion_angle), (Method.TEMPIER, tempier_angle)):
+        worst = max(
+            abs(closed_form(n) - _oracle_angle(method, n)) for n in range(4, 2001)
+        )
+        assert worst < 1e-15, (method, worst)
 
 
 def test_tempier_angle_pentagon():
@@ -177,6 +182,35 @@ def test_generated_programs_roundtrip():
         for gen in (bion_program, tempier_program):
             program = gen(n)
             assert parse(format_program(program)) == program
+
+
+# --- pinned outputs ---------------------------------------------------------------
+# Literals printed by the earlier per-method code (separate Bion and Tempier
+# builders and formulas); the shared method table must reproduce them exactly.
+
+def test_output_bytes_pinned():
+    assert format_program(bion_program(9)) == (
+        "point C = (0, 0)\npoint B = (-1, 0)\npoint A = (1, 0)\n"
+        "circle main = C B\ncircle arcB = B A\ncircle arcA = A B\n"
+        "intersect V = arcB arcA pick lower\ndivide F = B A 9 2\nline ray = V F\n"
+        "intersect G = ray main pick upper\nangle theta = C B G\n"
+    )
+    assert format_program(tempier_program(9)) == (
+        "point C = (0, 0)\npoint B = (-1, 0)\npoint A = (1, 0)\n"
+        "circle main = C B\ncircle arcB = B A\ncircle arcA = A B\n"
+        "intersect V = arcB arcA pick lower\npoint D = (0, 1)\n"
+        "divide T = B A 18 5\nline ray = V T\n"
+        "intersect G = ray main pick upper\nangle theta = C D G\n"
+    )
+    assert [repr(tempier_angle(n)) for n in range(4, 21)] == [
+        "1.5707963267948968", "1.2455740101974564", "1.0389346732239026",
+        "0.8922696493689176", "0.7821279147681708", "0.6962248370400022",
+        "0.6273123730446273", "0.5707933406669441", "0.5235987755982989",
+        "0.4835978502633538", "0.44926360639640084", "0.4194727661855062",
+        "0.3933804620041692", "0.3703389733598801", "0.3498433877382108",
+        "0.33149430585190753", "0.3149716572979655",
+    ]
+    assert repr(polygon(Method.BION, 9).closure_gap) == "0.043638788750532065"
 
 
 # --- polygon --------------------------------------------------------------------
