@@ -10,12 +10,10 @@ from .geometry import (
     Circle,
     CoincidentCurves,
     Curve,
-    DEFAULT_TOLERANCE,
     DegenerateAngle,
     GeometryError,
     Line,
     Point,
-    Tolerance,
     angle,
     distance,
     divide_segment,

@@ -23,51 +23,20 @@ __all__ = [
 # raise OverflowError rather than silently taking minutes.
 FACTOR_LIMIT = 2 ** 32
 
-# Deterministic Miller-Rabin witness set, proven complete below 3.3e24,
-# comfortably covering the 2^64 range is_fermat_prime supports.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Every Fermat prime up to 2^64.  2^e + 1 is prime only if e is a power of
+# two (an odd factor of e gives 2^e + 1 a factor), 2^32 + 1 = 641 * 6700417,
+# and the next candidate, 2^64 + 1, lies beyond the supported range.
+_FERMAT_PRIMES = frozenset({3, 5, 17, 257, 65537})
 _PRIMALITY_LIMIT = 2 ** 64
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _is_power_of_two(x: int) -> bool:
-    return x > 0 and x & (x - 1) == 0
-
-
 def is_fermat_prime(p: int) -> bool:
-    """True iff p is prime and p - 1 is a power of two (and p > 2).
-
-    For a prime p, p - 1 = 2^e forces e itself to be a power of two (2^e + 1
-    is composite whenever e has an odd factor), so this is exactly the
-    Fermat-prime condition without hardcoding the five known instances.
-    """
+    """True iff p is prime and p - 1 is a power of two (and p > 2)."""
     if p < 2:
         raise ValueError(f"primality is defined for integers >= 2, got {p}")
     if p > _PRIMALITY_LIMIT:
         raise OverflowError(f"primality test supported up to 2^64, got {p}")
-    return p > 2 and _is_power_of_two(p - 1) and _is_prime(p)
+    return p in _FERMAT_PRIMES
 
 
 @dataclass(frozen=True, slots=True)

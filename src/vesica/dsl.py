@@ -1,6 +1,7 @@
 """A small textual language for ruler-and-compass construction programs.
 
-One statement per line, ``#`` comments, whitespace-insensitive tokens::
+One statement per line (lines end at LF or CRLF), ``#`` comments,
+whitespace-insensitive tokens::
 
     point NAME = ( NUM , NUM )
     line NAME = NAME NAME
@@ -34,10 +35,8 @@ from dataclasses import dataclass, field
 from .geometry import (
     Circle,
     Curve,
-    DEFAULT_TOLERANCE,
     Line,
     Point,
-    Tolerance,
     angle as measure_angle,
     distance,
     divide_segment,
@@ -232,204 +231,160 @@ class Figure:
         kind[name] = value
 
 
-# --- tokenizer ---------------------------------------------------------------
+# --- parser ------------------------------------------------------------------
 
+# One pass per line: blanks and comments match no group, the last group
+# catches any character no token can start with.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>\#.*)
+    [ \t]+
+  | \#.*
   | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<sym>[=(),-])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
+class _Cursor:
+    """Walks one line's (kind, text, column) tokens, ending in an "end" token."""
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    text: str
-    kind: str  # "number" | "name" | "sym" | "end"
-    line: int
-    column: int
+    __slots__ = ("tokens", "pos", "lineno")
 
+    def __init__(self, tokens: list[tuple[str, str, int]], lineno: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.lineno = lineno
 
-def _tokenize_line(text: str, lineno: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(lineno, pos + 1, f"unexpected character {text[pos]!r}")
-        pos = m.end()
-        if m.lastgroup in ("ws", "comment"):
-            continue
-        tokens.append(_Token(m.group(), m.lastgroup, lineno, m.start() + 1))
-    tokens.append(_Token("", "end", lineno, len(text) + 1))
-    return tokens
+    def fail(self, message: str) -> ParseError:
+        return ParseError(self.lineno, self.tokens[self.pos][2], message)
 
+    def found(self) -> str:
+        kind, text, _ = self.tokens[self.pos]
+        return "end of line" if kind == "end" else repr(text)
 
-class _LineParser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._pos = 0
+    def at(self, kind: str, text: str) -> bool:
+        return self.tokens[self.pos][:2] == (kind, text)
 
-    @property
-    def current(self) -> _Token:
-        return self._tokens[self._pos]
+    def sym(self, sym: str) -> None:
+        if not self.at("sym", sym):
+            raise self.fail(f"expected {sym!r}, found {self.found()}")
+        self.pos += 1
 
-    def _advance(self) -> _Token:
-        tok = self.current
-        if tok.kind != "end":
-            self._pos += 1
-        return tok
+    def name(self) -> str:
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "name":
+            raise self.fail(f"expected a name, found {self.found()}")
+        if text in _KEYWORDS:
+            raise self.fail(f"{text!r} is a reserved word")
+        self.pos += 1
+        return text
 
-    def _fail(self, message: str) -> ParseError:
-        tok = self.current
-        return ParseError(tok.line, tok.column, message)
+    def num(self) -> Num:
+        negative = self.at("sym", "-")
+        if negative:
+            self.pos += 1
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "name" and text in _SYMBOLIC:
+            value = _SYMBOLIC[text]
+            symbol = text
+        elif kind == "number":
+            value = float(text)
+            if not math.isfinite(value):
+                raise self.fail(f"numeric literal out of range: {text}")
+            symbol = None
+        else:
+            raise self.fail(f"expected a number, found {self.found()}")
+        self.pos += 1
+        return Num(-value if negative else value, symbol)
 
-    def _expect_sym(self, sym: str) -> None:
-        if self.current.kind != "sym" or self.current.text != sym:
-            raise self._fail(f"expected {sym!r}, found {self._describe()}")
-        self._advance()
-
-    def _expect_keyword(self, word: str) -> None:
-        if self.current.kind != "name" or self.current.text != word:
-            raise self._fail(f"expected {word!r}, found {self._describe()}")
-        self._advance()
-
-    def _describe(self) -> str:
-        tok = self.current
-        return "end of line" if tok.kind == "end" else repr(tok.text)
-
-    def _name(self) -> str:
-        tok = self.current
-        if tok.kind != "name":
-            raise self._fail(f"expected a name, found {self._describe()}")
-        if tok.text in _KEYWORDS:
-            raise self._fail(f"{tok.text!r} is a reserved word")
-        self._advance()
-        return tok.text
-
-    def _num(self) -> Num:
-        negative = False
-        if self.current.kind == "sym" and self.current.text == "-":
-            negative = True
-            self._advance()
-        tok = self.current
-        if tok.kind == "name" and tok.text in _SYMBOLIC:
-            self._advance()
-            value = _SYMBOLIC[tok.text]
-            return Num(-value if negative else value, tok.text)
-        if tok.kind != "number":
-            raise self._fail(f"expected a number, found {self._describe()}")
-        value = float(tok.text)
-        if not math.isfinite(value):
-            raise self._fail(f"numeric literal out of range: {tok.text}")
-        self._advance()
-        return Num(-value if negative else value)
-
-    def _int(self) -> int:
-        tok = self.current
-        num = self._num()
+    def int(self) -> int:
+        column = self.tokens[self.pos][2]
+        num = self.num()
         if num.symbol is not None or num.value != int(num.value):
-            raise ParseError(tok.line, tok.column, "expected an integer")
+            raise ParseError(self.lineno, column, "expected an integer")
         return int(num.value)
 
-    def _end(self) -> None:
-        if self.current.kind != "end":
-            raise self._fail(f"unexpected trailing token {self._describe()}")
+    def selector(self) -> Selector:
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "name" or text not in _SELECTOR_KINDS:
+            raise self.fail(f"expected a selector, found {self.found()}")
+        self.pos += 1
+        return Selector("near", self.name()) if text == "near" else Selector(text)
 
     def statement(self) -> Statement:
-        tok = self.current
-        if tok.kind != "name":
-            raise self._fail(f"expected a statement keyword, found {self._describe()}")
-        handler = {
-            "point": self._point,
-            "line": self._line,
-            "circle": self._circle,
-            "intersect": self._intersect,
-            "divide": self._divide,
-            "angle": self._angle,
-        }.get(tok.text)
-        if handler is None:
-            raise self._fail(f"unknown statement keyword {tok.text!r}")
-        self._advance()
-        stmt = handler()
-        self._end()
+        kind, keyword, _ = self.tokens[0]
+        if kind != "name":
+            raise self.fail(f"expected a statement keyword, found {self.found()}")
+        if keyword not in ("point", "line", "circle", "intersect", "divide", "angle"):
+            raise self.fail(f"unknown statement keyword {keyword!r}")
+        self.pos = 1
+        name = self.name()
+        kind, text, _ = self.tokens[self.pos]
+        if keyword == "intersect" and kind == "name" and text not in _KEYWORDS:
+            names = (name, self.name())
+        else:
+            names = (name,)
+        self.sym("=")
+        if keyword == "point":
+            self.sym("(")
+            x = self.num()
+            self.sym(",")
+            y = self.num()
+            self.sym(")")
+            stmt = PointDef(name, x, y)
+        elif keyword == "line":
+            stmt = LineDef(name, self.name(), self.name())
+        elif keyword == "circle":
+            center = self.name()
+            if self.at("name", "radius"):
+                self.pos += 1
+                stmt = CircleRadDef(name, center, self.name(), self.name())
+            else:
+                stmt = CircleDef(name, center, self.name())
+        elif keyword == "intersect":
+            a, b = self.name(), self.name()
+            pick = None if len(names) == 2 else Selector("first")
+            if self.at("name", "pick"):
+                if len(names) == 2:
+                    raise self.fail("pick clause not allowed with two result names")
+                self.pos += 1
+                pick = self.selector()
+            stmt = Intersect(names, a, b, pick)
+        elif keyword == "divide":
+            stmt = Divide(name, self.name(), self.name(), self.int(), self.int())
+        else:
+            stmt = MeasureAngle(name, self.name(), self.name(), self.name())
+        if self.tokens[self.pos][0] != "end":
+            raise self.fail(f"unexpected trailing token {self.found()}")
         return stmt
-
-    def _point(self) -> PointDef:
-        name = self._name()
-        self._expect_sym("=")
-        self._expect_sym("(")
-        x = self._num()
-        self._expect_sym(",")
-        y = self._num()
-        self._expect_sym(")")
-        return PointDef(name, x, y)
-
-    def _line(self) -> LineDef:
-        name = self._name()
-        self._expect_sym("=")
-        return LineDef(name, self._name(), self._name())
-
-    def _circle(self) -> CircleDef | CircleRadDef:
-        name = self._name()
-        self._expect_sym("=")
-        center = self._name()
-        if self.current.kind == "name" and self.current.text == "radius":
-            self._advance()
-            return CircleRadDef(name, center, self._name(), self._name())
-        return CircleDef(name, center, self._name())
-
-    def _intersect(self) -> Intersect:
-        first = self._name()
-        names = (first,)
-        if self.current.kind == "name" and self.current.text not in _KEYWORDS:
-            names = (first, self._name())
-        self._expect_sym("=")
-        a = self._name()
-        b = self._name()
-        if self.current.kind == "name" and self.current.text == "pick":
-            if len(names) == 2:
-                raise self._fail("pick clause not allowed with two result names")
-            self._advance()
-            return Intersect(names, a, b, self._selector())
-        pick = None if len(names) == 2 else Selector("first")
-        return Intersect(names, a, b, pick)
-
-    def _selector(self) -> Selector:
-        tok = self.current
-        if tok.kind != "name" or tok.text not in _SELECTOR_KINDS:
-            raise self._fail(f"expected a selector, found {self._describe()}")
-        self._advance()
-        if tok.text == "near":
-            return Selector("near", self._name())
-        return Selector(tok.text)
-
-    def _divide(self) -> Divide:
-        name = self._name()
-        self._expect_sym("=")
-        return Divide(name, self._name(), self._name(), self._int(), self._int())
-
-    def _angle(self) -> MeasureAngle:
-        name = self._name()
-        self._expect_sym("=")
-        return MeasureAngle(name, self._name(), self._name(), self._name())
 
 
 def parse(text: str) -> Program:
-    """Parse program text; raises ParseError at the first offending token."""
+    """Parse program text; raises ParseError at the first offending token.
+
+    Lines end at LF; CRs at the end of a line are dropped, so CRLF text
+    parses the same.
+    """
+    lines = text.removesuffix("\n").split("\n")  # a final LF starts no line
     statements: list[Statement] = []
-    lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw.rstrip("\r"), lineno)
-        if tokens[0].kind == "end":
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\r")
+        tokens = [
+            (m.lastgroup, m.group(), m.start() + 1)
+            for m in _TOKEN_RE.finditer(line)
+            if m.lastgroup
+        ]
+        if not tokens:
             continue
-        statements.append(_LineParser(tokens).statement())
+        for kind, char, column in tokens:
+            if kind == "bad":
+                raise ParseError(lineno, column, f"unexpected character {char!r}")
+        tokens.append(("end", "", len(line) + 1))
+        statements.append(_Cursor(tokens, lineno).statement())
     if not statements:
-        raise ParseError(max(lineno, 1), 1, "program contains no statements")
+        raise ParseError(len(lines), 1, "program contains no statements")
     return Program(tuple(statements))
 
 
@@ -520,7 +475,7 @@ def _select(pick: Selector, points: list[Point], fig: Figure) -> Point:
     return min(points, key=lambda p: distance(anchor, p))
 
 
-def evaluate(program: Program, tol: Tolerance = DEFAULT_TOLERANCE) -> Figure:
+def evaluate(program: Program) -> Figure:
     """Execute statements in order against the geometry kernel.
 
     Raises UnknownName / DuplicateName for scoping faults, SelectorEmpty when
@@ -541,7 +496,7 @@ def evaluate(program: Program, tol: Tolerance = DEFAULT_TOLERANCE) -> Figure:
                 radius = distance(_lookup_point(fig, rad_from), _lookup_point(fig, rad_to))
                 fig._bind(fig.curves, name, Circle(_lookup_point(fig, center), radius))
             case Intersect(names, a, b, pick):
-                hits = intersect_curves(_lookup_curve(fig, a), _lookup_curve(fig, b), tol)
+                hits = intersect_curves(_lookup_curve(fig, a), _lookup_curve(fig, b))
                 if pick is None:
                     if len(hits) < 2:
                         raise SelectorEmpty(
@@ -556,11 +511,11 @@ def evaluate(program: Program, tol: Tolerance = DEFAULT_TOLERANCE) -> Figure:
                 fig._bind(
                     fig.points,
                     name,
-                    divide_segment(_lookup_point(fig, start), _lookup_point(fig, end), n, k, tol),
+                    divide_segment(_lookup_point(fig, start), _lookup_point(fig, end), n, k),
                 )
             case MeasureAngle(name, vertex, p, q):
                 value = measure_angle(
-                    _lookup_point(fig, vertex), _lookup_point(fig, p), _lookup_point(fig, q), tol
+                    _lookup_point(fig, vertex), _lookup_point(fig, p), _lookup_point(fig, q)
                 )
                 fig._bind(fig.scalars, name, value)
     return fig

@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 # Geometric coincidence threshold: below this, coordinates/lengths are
-# treated as equal.  Test threshold is for assertions on derived quantities.
+# treated as equal.  Every comparison in the kernel reads it.
 EPS_GEOM = 1e-9
-EPS_TEST = 1e-7
 
 
 class GeometryError(Exception):
@@ -33,24 +32,6 @@ class DegenerateAngle(GeometryError):
 
 class BadIndex(GeometryError):
     """Segment division index outside [0, n] (or n < 1)."""
-
-
-@dataclass(frozen=True, slots=True)
-class Tolerance:
-    """Thresholds for coincidence (eps_geom) and assertions (eps_test)."""
-
-    eps_geom: float = EPS_GEOM
-    eps_test: float = EPS_TEST
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eps_geom < self.eps_test < 1.0):
-            raise ValueError(
-                f"tolerances must satisfy 0 < eps_geom < eps_test < 1, "
-                f"got eps_geom={self.eps_geom}, eps_test={self.eps_test}"
-            )
-
-
-DEFAULT_TOLERANCE = Tolerance()
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,7 +74,7 @@ def distance(p: Point, q: Point) -> float:
     return math.hypot(q.x - p.x, q.y - p.y)
 
 
-def angle(vertex: Point, p: Point, q: Point, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def angle(vertex: Point, p: Point, q: Point) -> float:
     """Unsigned angle between rays vertex->p and vertex->q, in [0, pi].
 
     Computed as atan2(|cross|, dot) of the two leg vectors.  This stays fully
@@ -102,22 +83,20 @@ def angle(vertex: Point, p: Point, q: Point, tol: Tolerance = DEFAULT_TOLERANCE)
     """
     ux, uy = p.x - vertex.x, p.y - vertex.y
     wx, wy = q.x - vertex.x, q.y - vertex.y
-    if math.hypot(ux, uy) <= tol.eps_geom or math.hypot(wx, wy) <= tol.eps_geom:
+    if math.hypot(ux, uy) <= EPS_GEOM or math.hypot(wx, wy) <= EPS_GEOM:
         raise DegenerateAngle(f"angle leg collapses onto vertex {vertex}")
     cross = ux * wy - uy * wx
     dot = ux * wx + uy * wy
     return math.atan2(abs(cross), dot)
 
 
-def divide_segment(
-    p: Point, q: Point, n: int, k: int, tol: Tolerance = DEFAULT_TOLERANCE
-) -> Point:
+def divide_segment(p: Point, q: Point, n: int, k: int) -> Point:
     """Point at parameter k/n along the segment from p to q.
 
     k = 0 returns exactly p and k = n exactly q (the two-product form of the
     interpolation guarantees this in floating point).
     """
-    if distance(p, q) <= tol.eps_geom:
+    if distance(p, q) <= EPS_GEOM:
         raise ValueError(f"cannot divide a degenerate segment at {p}")
     if n < 1:
         raise BadIndex(f"segment must be divided into at least 1 part, got n={n}")
@@ -137,12 +116,12 @@ def rotate(p: Point, center: Point, theta: float) -> Point:
     return Point(center.x + dx * c - dy * s, center.y + dx * s + dy * c)
 
 
-def intersect(a: Curve, b: Curve, tol: Tolerance = DEFAULT_TOLERANCE) -> list[Point]:
+def intersect(a: Curve, b: Curve) -> list[Point]:
     """Intersection points of two curves, sorted ascending by (x, y).
 
     Returns 0, 1 or 2 points.  Tangency is snapped: a discriminant within
-    eps_geom of zero counts as exactly zero and yields a single point.
-    Coordinates are compared at eps_geom when ordering the result.
+    EPS_GEOM of zero counts as exactly zero and yields a single point.
+    Coordinates are compared at EPS_GEOM when ordering the result.
 
     The two arguments are put into a canonical order internally, so
     intersect(a, b) and intersect(b, a) run the same arithmetic and return
@@ -152,13 +131,13 @@ def intersect(a: Curve, b: Curve, tol: Tolerance = DEFAULT_TOLERANCE) -> list[Po
     """
     if isinstance(a, Line) and isinstance(b, Line):
         first, second = _canonical_pair(a, b, _line_key)
-        return _line_line(first, second, tol)
+        return _line_line(first, second)
     if isinstance(a, Circle) and isinstance(b, Circle):
         first, second = _canonical_pair(a, b, _circle_key)
-        return _circle_circle(first, second, tol)
+        return _circle_circle(first, second)
     line, circle = (a, b) if isinstance(a, Line) else (b, a)
     coeffs = _implicit(line)
-    return _implicit_line_circle(coeffs, circle, tol)
+    return _implicit_line_circle(coeffs, circle)
 
 
 def _line_key(line: Line) -> tuple[float, float, float, float]:
@@ -186,13 +165,13 @@ def _point_line_distance(coeffs: tuple[float, float, float], p: Point) -> float:
     return abs(a * p.x + b * p.y + c) / math.hypot(a, b)
 
 
-def _line_line(l1: Line, l2: Line, tol: Tolerance) -> list[Point]:
+def _line_line(l1: Line, l2: Line) -> list[Point]:
     a1, b1, c1 = _implicit(l1)
     a2, b2, c2 = _implicit(l2)
     det = a1 * b2 - a2 * b1
     # Parallelism judged on unit directions so long anchors don't skew it.
-    if abs(det) / (math.hypot(a1, b1) * math.hypot(a2, b2)) <= tol.eps_geom:
-        if _point_line_distance((a1, b1, c1), l2.p) <= tol.eps_geom:
+    if abs(det) / (math.hypot(a1, b1) * math.hypot(a2, b2)) <= EPS_GEOM:
+        if _point_line_distance((a1, b1, c1), l2.p) <= EPS_GEOM:
             raise CoincidentCurves(f"lines {l1} and {l2} coincide")
         return []
     x = (b1 * c2 - b2 * c1) / det
@@ -200,9 +179,7 @@ def _line_line(l1: Line, l2: Line, tol: Tolerance) -> list[Point]:
     return [Point(x, y)]
 
 
-def _implicit_line_circle(
-    coeffs: tuple[float, float, float], circle: Circle, tol: Tolerance
-) -> list[Point]:
+def _implicit_line_circle(coeffs: tuple[float, float, float], circle: Circle) -> list[Point]:
     a, b, c = coeffs
     cx, cy = circle.center.x, circle.center.y
     n2 = a * a + b * b
@@ -210,20 +187,20 @@ def _implicit_line_circle(
     f = (a * cx + b * cy + c) / n2
     foot = Point(cx - a * f, cy - b * f)
     disc = circle.radius * circle.radius - f * f * n2
-    if abs(disc) < tol.eps_geom:
+    if abs(disc) < EPS_GEOM:
         return [foot]
     if disc < 0.0:
         return []
     s = math.sqrt(disc / n2)
     p1 = Point(foot.x - b * s, foot.y + a * s)
     p2 = Point(foot.x + b * s, foot.y - a * s)
-    return _ordered(p1, p2, tol)
+    return _ordered(p1, p2)
 
 
-def _circle_circle(c1: Circle, c2: Circle, tol: Tolerance) -> list[Point]:
+def _circle_circle(c1: Circle, c2: Circle) -> list[Point]:
     d = distance(c1.center, c2.center)
-    if d <= tol.eps_geom:
-        if abs(c1.radius - c2.radius) <= tol.eps_geom:
+    if d <= EPS_GEOM:
+        if abs(c1.radius - c2.radius) <= EPS_GEOM:
             raise CoincidentCurves(f"circles {c1} and {c2} coincide")
         return []  # concentric, distinct radii
     # Radical line of the two circles, then one well-tested quadratic path.
@@ -233,13 +210,13 @@ def _circle_circle(c1: Circle, c2: Circle, tol: Tolerance) -> list[Point]:
         (c1.center.x ** 2 + c1.center.y ** 2 - c1.radius ** 2)
         - (c2.center.x ** 2 + c2.center.y ** 2 - c2.radius ** 2)
     )
-    return _implicit_line_circle((a, b, c), c1, tol)
+    return _implicit_line_circle((a, b, c), c1)
 
 
-def _ordered(p1: Point, p2: Point, tol: Tolerance) -> list[Point]:
-    """Sort two points ascending by (x, y), comparing coordinates at eps_geom."""
-    if abs(p1.x - p2.x) > tol.eps_geom:
+def _ordered(p1: Point, p2: Point) -> list[Point]:
+    """Sort two points ascending by (x, y), comparing coordinates at EPS_GEOM."""
+    if abs(p1.x - p2.x) > EPS_GEOM:
         return [p1, p2] if p1.x < p2.x else [p2, p1]
-    if abs(p1.y - p2.y) > tol.eps_geom:
+    if abs(p1.y - p2.y) > EPS_GEOM:
         return [p1, p2] if p1.y < p2.y else [p2, p1]
     return [p1, p2]

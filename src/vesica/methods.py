@@ -82,7 +82,7 @@ class UnsupportedN(ValueError):
 
 class DomainError(ValueError):
     """An inverse-trig argument left [-1, 1] by more than the geometric
-    coincidence threshold."""
+    coincidence threshold, or a rectified quadrant's implied pi overflowed."""
 
 
 def _require_n(n: int) -> None:
@@ -290,9 +290,10 @@ def rectified_quadrant(base_distance: float) -> RectificationResult:
     length (d+1)/d; twice that is the implied approximation of pi.
     """
     _require_base(base_distance)
-    return RectificationResult(
-        base_distance, 2.0 * (base_distance + 1.0) / base_distance
-    )
+    implied_pi = 2.0 * (base_distance + 1.0) / base_distance
+    if not math.isfinite(implied_pi):
+        raise DomainError(f"implied pi overflows for base distance {base_distance}")
+    return RectificationResult(base_distance, implied_pi)
 
 
 def exact_rectifier_distance() -> float:

@@ -45,6 +45,8 @@ class RenderOptions:
 
 def fixed(value: float, decimals: int) -> str:
     """Format with exactly `decimals` fraction digits, ties away from zero."""
+    if not math.isfinite(value):
+        raise ValueError(f"cannot format the non-finite value {value}")
     exponent = Decimal(1).scaleb(-decimals)
     with localcontext() as ctx:
         ctx.prec = 340  # any finite double (<= ~1.8e308) plus 15 fraction digits
@@ -71,6 +73,12 @@ class _Canvas:
         self.width = opts.width_px
         self.height = (self.y1 - self.y0) * self.scale
         self.decimals = opts.decimals
+        # A flat figure drawn with margin 0 keeps its height of 0.
+        if not (0.0 < self.scale < math.inf and self.height < math.inf):
+            raise ValueError(
+                f"cannot scale a figure spanning x {bounds[0]!r}..{bounds[2]!r}, "
+                f"y {bounds[1]!r}..{bounds[3]!r} to {opts.width_px} px"
+            )
 
     def px(self, x: float) -> str:
         return fixed((x - self.x0) * self.scale, self.decimals)

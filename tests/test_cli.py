@@ -156,6 +156,32 @@ def test_run_malformed_program(capsys, tmp_path):
     assert "line 1, column 16" in err and "Traceback" not in err
 
 
+def test_run_reports_line_of_lf_separated_file(capsys, tmp_path):
+    # A form feed and a U+2028 inside a comment do not end the line.
+    path = tmp_path / "ff.euc"
+    path.write_text("point A = (0, 0) # a\x0cb\u2028c\nline L = A\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert "line 2, column 11:" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "point A = (-1e308, -1e308)\npoint B = (1e308, 1e308)\n",
+        "point A = (0, 0)\npoint B = (1e-320, 0)\n",
+    ],
+    ids=["extent-overflows", "extent-subnormal"],
+)
+def test_run_svg_unscalable_extent_exits_2(capsys, tmp_path, text):
+    euc, svg = tmp_path / "fig.euc", tmp_path / "fig.svg"
+    euc.write_text(text, encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", str(euc), "--svg", str(svg))
+    assert code == 2
+    assert "cannot scale a figure spanning" in err and "Traceback" not in err
+    assert not svg.exists()
+
+
 def test_run_geometric_failure(capsys, tmp_path):
     path = tmp_path / "disjoint.euc"
     path.write_text(
@@ -250,6 +276,13 @@ def test_rectify_custom_distance(capsys):
 def test_rectify_invalid_distance(capsys):
     code, _, err = run_cli(capsys, "rectify", "--distance", "-1")
     assert code == 2 and err != ""
+
+
+@pytest.mark.parametrize("distance", ["1e308", "1e-310"])
+def test_rectify_overflowing_distance_exits_2(capsys, distance):
+    code, out, err = run_cli(capsys, "rectify", "--distance", distance)
+    assert code == 2 and out == ""
+    assert "implied pi" in err and "Traceback" not in err
 
 
 # --- determinism ------------------------------------------------------------------------

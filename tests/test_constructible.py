@@ -50,6 +50,11 @@ def test_fermat_prime_rejections():
     assert not is_fermat_prime(2**32 + 1)
 
 
+def test_fermat_primes_among_two_to_the_e_plus_one():
+    holds = [e for e in range(1, 64) if is_fermat_prime(2**e + 1)]
+    assert holds == [1, 2, 4, 8, 16]
+
+
 def test_fermat_prime_input_validation():
     with pytest.raises(ValueError):
         is_fermat_prime(1)

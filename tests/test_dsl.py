@@ -105,6 +105,17 @@ def test_parse_crlf_and_comments():
     assert [s.name for s in program.statements] == ["A", "B"]
 
 
+def test_lines_end_at_lf_only():
+    # Only LF or CRLF ends a line; a form feed or U+2028 does not.
+    with pytest.raises(ParseError) as err:
+        parse("point A = (0, 0)\x0cpoint B = (1, 0)\nline L = A")
+    assert (err.value.line, err.value.column) == (1, 17)
+    assert err.value.message == "unexpected character '\\x0c'"
+    with pytest.raises(ParseError) as err:
+        parse("point A = (0, 0) # a\x0cb\u2028c\nline L = A")
+    assert (err.value.line, err.value.column) == (2, 11)
+
+
 def test_parse_empty_program():
     with pytest.raises(ParseError):
         parse("")
@@ -118,6 +129,39 @@ def test_malformed_inputs_report_first_offending_token(text, line, column):
         parse(text)
     assert (err.value.line, err.value.column) == (line, column)
     assert str(err.value).startswith(f"line {line}, column {column}:")
+
+
+# str(ParseError) for each MALFORMED_PROGRAMS entry, in the same order.
+MALFORMED_MESSAGES = [
+    "line 1, column 16: expected ')', found end of line",
+    "line 1, column 17: unexpected trailing token 'B'",
+    "line 1, column 1: unknown statement keyword 'pint'",
+    "line 1, column 7: expected a name, found '='",
+    "line 1, column 7: 'pi' is a reserved word",
+    "line 1, column 11: expected a name, found end of line",
+    "line 1, column 16: expected an integer",
+    "line 1, column 16: expected an integer",
+    "line 1, column 26: expected a selector, found 'center'",
+    "line 1, column 23: pick clause not allowed with two result names",
+    "line 1, column 13: unexpected character ';'",
+    "line 1, column 14: expected a name, found end of line",
+    "line 1, column 22: expected a name, found end of line",
+    "line 1, column 13: expected a number, found '-'",
+    "line 1, column 9: expected '=', found '('",
+    "line 1, column 17: expected a number, found end of line",
+    "line 1, column 12: numeric literal out of range: 1e400",
+    "line 1, column 17: expected a name, found end of line",
+    "line 2, column 14: unexpected trailing token 'extra'",
+    "line 1, column 1: program contains no statements",
+]
+
+
+def test_malformed_inputs_pin_full_message():
+    assert len(MALFORMED_MESSAGES) == len(MALFORMED_PROGRAMS)
+    for (text, _, _), expected in zip(MALFORMED_PROGRAMS, MALFORMED_MESSAGES):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == expected, text
 
 
 # --- formatting -----------------------------------------------------------------

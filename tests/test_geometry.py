@@ -10,7 +10,6 @@ from vesica.geometry import (
     DegenerateAngle,
     Line,
     Point,
-    Tolerance,
     angle,
     distance,
     divide_segment,
@@ -40,13 +39,6 @@ def test_circle_rejects_tiny_radius():
         Circle(Point(0.0, 0.0), 0.0)
     with pytest.raises(ValueError):
         Circle(Point(0.0, 0.0), 1e-12)
-
-
-def test_tolerance_ordering_enforced():
-    with pytest.raises(ValueError):
-        Tolerance(eps_geom=1e-6, eps_test=1e-9)
-    with pytest.raises(ValueError):
-        Tolerance(eps_geom=0.0, eps_test=1e-7)
 
 
 # --- intersect ------------------------------------------------------------------

@@ -324,6 +324,12 @@ def test_rectification_rejects_bad_distance():
         rectified_quadrant(-2.0)
 
 
+def test_rectification_rejects_overflowing_pi():
+    for distance in (1e308, 1e-310):
+        with pytest.raises(DomainError):
+            rectified_quadrant(distance)
+
+
 def test_tempier_limit_equals_vesica_rectification_error():
     implied = rectified_quadrant(SQRT3).implied_pi
     assert relative_error_limit(Method.TEMPIER) == pytest.approx(

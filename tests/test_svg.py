@@ -21,6 +21,12 @@ def test_fixed_handles_extreme_magnitudes():
     assert fixed(5e-324, 15) == "0.000000000000000"
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_fixed_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        fixed(value, 2)
+
+
 def test_render_is_byte_deterministic():
     fig = evaluate(bion_program(9))
     assert render_svg(fig) == render_svg(fig)
@@ -54,6 +60,19 @@ def test_empty_figure_rejected():
         render_svg(Figure())
     with pytest.raises(EmptyFigure):
         render_svg(Figure(scalars={"t": 1.0}))  # nothing drawable
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (Point(-1e308, -1e308), Point(1e308, 1e308)),
+        (Point(0.0, 0.0), Point(1e-320, 0.0)),
+    ],
+    ids=["extent-overflows", "extent-subnormal"],
+)
+def test_unscalable_extent_rejected(a, b):
+    with pytest.raises(ValueError, match="cannot scale a figure spanning"):
+        render_svg(Figure(points={"A": a, "B": b}))
 
 
 def test_labels_can_be_disabled():
