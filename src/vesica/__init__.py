@@ -14,6 +14,7 @@ from .geometry import (
     GeometryError,
     Line,
     Point,
+    VesicaError,
     angle,
     distance,
     divide_segment,

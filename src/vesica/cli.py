@@ -1,8 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 usage error, 2 domain error (bad n, malformed
-program, failed construction, input over a size bound).  User errors never
-produce a stack trace.  Identical argv and input files produce byte-identical output.
+Exit codes: 0 success, 1 usage error or unreadable/unwritable file, 2 domain
+error: any VesicaError (bad n, malformed program, failed construction, input
+over a size bound).  User errors never produce a stack trace; any other
+exception is a bug and propagates.  Identical argv and input files produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,17 +14,9 @@ import json
 import sys
 
 from . import constructible, dsl, methods
-from .geometry import GeometryError
+from .geometry import VesicaError
 from .methods import Method, SQRT3
 from .svg import RenderOptions, fixed, render_polygon, render_svg
-
-_DOMAIN_ERRORS = (
-    ValueError,          # UnsupportedN, DomainError, bad options, ...
-    OverflowError,
-    GeometryError,
-    dsl.ParseError,
-    dsl.EvalError,
-)
 
 
 # Bounds on CLI input that keep memory and time small; the library takes any size.
@@ -39,23 +33,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _method(name: str) -> Method:
-    return Method(name)
-
-
-def _paper_round(value: float) -> float:
-    return float(fixed(value, 4))
-
-
-def _row_values(row: methods.ErrorRow, paper: bool) -> list:
-    values = [row.n, row.exact, row.approx, row.error, row.rel_error]
-    if paper:
-        return [row.n] + [_paper_round(v) for v in values[1:]]
-    return values
-
-
 def _cmd_angle(ns) -> int:
-    method = _method(ns.method)
+    method = Method(ns.method)
     if ns.base is not None and method is not Method.TEMPIER:
         print("error: --base is only supported for tempier", file=sys.stderr)
         return 1
@@ -71,27 +50,27 @@ def _cmd_angle(ns) -> int:
 
 def _cmd_table(ns) -> int:
     if ns.stop - ns.start + 1 > _MAX_TABLE_ROWS:
-        raise ValueError(f"a table holds at most {_MAX_TABLE_ROWS} rows (--from to --to)")
-    rows = methods.error_table(_method(ns.method), ns.start, ns.stop)
+        raise VesicaError(f"a table holds at most {_MAX_TABLE_ROWS} rows (--from to --to)")
+    rows = methods.error_table(Method(ns.method), ns.start, ns.stop)
+    columns = ("n", "exact", "approx", "error", "rel_error")
+    # --paper rounds to 4 decimals: JSON gets the rounded floats, CSV their text.
     if ns.format == "json":
+        value = (lambda v: float(fixed(v, 4))) if ns.paper else float
         payload = [
-            dict(zip(("n", "exact", "approx", "error", "rel_error"), _row_values(r, ns.paper)))
-            for r in rows
+            dict(zip(columns, [row.n] + [value(getattr(row, c)) for c in columns[1:]]))
+            for row in rows
         ]
         print(json.dumps(payload, indent=2))
     else:
-        print("n,exact,approx,error,rel_error")
+        text = (lambda v: fixed(v, 4)) if ns.paper else repr
+        print(",".join(columns))
         for row in rows:
-            n, *numbers = _row_values(row, ns.paper)
-            if ns.paper:
-                print(",".join([str(n)] + [fixed(v, 4) for v in numbers]))
-            else:
-                print(",".join([str(n)] + [repr(v) for v in numbers]))
+            print(",".join([str(row.n)] + [text(getattr(row, c)) for c in columns[1:]]))
     return 0
 
 
 def _cmd_construct(ns) -> int:
-    text = dsl.format_program(methods.method_program(_method(ns.method), ns.n))
+    text = dsl.format_program(methods.method_program(Method(ns.method), ns.n))
     if ns.output:
         with open(ns.output, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -102,11 +81,15 @@ def _cmd_construct(ns) -> int:
 
 def _cmd_run(ns) -> int:
     try:
-        with open(ns.file, "r", encoding="utf-8-sig") as handle:
+        # newline="": line ends reach parse() as written, so a lone CR is
+        # reported where parse() sees it, not taken as a line break.
+        with open(ns.file, "r", encoding="utf-8-sig", newline="") as handle:
             text = handle.read()
     except OSError as exc:
         print(f"error: cannot read {ns.file}: {exc.strerror or exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        raise VesicaError(f"cannot read {ns.file}: {exc}") from None
     figure = dsl.evaluate(dsl.parse(text))
     for name, value in figure.scalars.items():
         print(f"{name} = {value!r}")
@@ -117,8 +100,8 @@ def _cmd_run(ns) -> int:
 
 def _cmd_polygon(ns) -> int:
     if ns.n > _MAX_POLYGON_N:
-        raise ValueError(f"polygon supports n <= {_MAX_POLYGON_N}, got n={ns.n}")
-    result = methods.polygon(_method(ns.method), ns.n)
+        raise VesicaError(f"polygon supports n <= {_MAX_POLYGON_N}, got n={ns.n}")
+    result = methods.polygon(Method(ns.method), ns.n)
     _write_svg(ns.svg, render_polygon(result, _render_options(ns)))
     print(f"closure_gap = {result.closure_gap!r}")
     return 0
@@ -144,7 +127,7 @@ def _cmd_rectify(ns) -> int:
 
 
 def _render_options(ns) -> RenderOptions:
-    return RenderOptions(label_points=not getattr(ns, "no_labels", False))
+    return RenderOptions(label_points=not ns.no_labels)
 
 
 def _write_svg(path: str, document: str) -> None:
@@ -216,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc.strerror or exc}: {getattr(exc, 'filename', '')}", file=sys.stderr)
         return 1
-    except _DOMAIN_ERRORS as exc:
+    except VesicaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .geometry import VesicaError
+
 __all__ = [
     "Obstruction",
     "ConstructibilityVerdict",
@@ -20,8 +22,13 @@ __all__ = [
 ]
 
 # Trial-division factorization is the documented cutoff; inputs above it
-# raise OverflowError rather than silently taking minutes.
+# raise _TooLarge, an OverflowError, rather than silently taking minutes.
 FACTOR_LIMIT = 2 ** 32
+
+
+class _TooLarge(VesicaError, OverflowError):
+    """An input above the range the checker supports."""
+
 
 # Every Fermat prime up to 2^64.  2^e + 1 is prime only if e is a power of
 # two (an odd factor of e gives 2^e + 1 a factor), 2^32 + 1 = 641 * 6700417,
@@ -33,9 +40,9 @@ _PRIMALITY_LIMIT = 2 ** 64
 def is_fermat_prime(p: int) -> bool:
     """True iff p is prime and p - 1 is a power of two (and p > 2)."""
     if p < 2:
-        raise ValueError(f"primality is defined for integers >= 2, got {p}")
+        raise VesicaError(f"primality is defined for integers >= 2, got {p}")
     if p > _PRIMALITY_LIMIT:
-        raise OverflowError(f"primality test supported up to 2^64, got {p}")
+        raise _TooLarge(f"primality test supported up to 2^64, got {p}")
     return p in _FERMAT_PRIMES
 
 
@@ -93,9 +100,9 @@ def _factor(n: int) -> list[tuple[int, int]]:
 def check(n: int) -> ConstructibilityVerdict:
     """Constructibility verdict for the regular n-gon, n >= 3."""
     if n < 3:
-        raise ValueError(f"polygons need at least 3 sides, got n={n}")
+        raise VesicaError(f"polygons need at least 3 sides, got n={n}")
     if n > FACTOR_LIMIT:
-        raise OverflowError(f"factorization supported up to 2^32, got {n}")
+        raise _TooLarge(f"factorization supported up to 2^32, got {n}")
     factors = _factor(n)
     power_of_two = 0
     odd_primes: list[int] = []
@@ -121,7 +128,7 @@ def check(n: int) -> ConstructibilityVerdict:
 def constructible_up_to(limit: int) -> list[int]:
     """All constructible n in [3, limit], ascending."""
     if limit < 3:
-        raise ValueError(f"limit must be at least 3, got {limit}")
+        raise VesicaError(f"limit must be at least 3, got {limit}")
     if limit > FACTOR_LIMIT:
-        raise OverflowError(f"factorization supported up to 2^32, got {limit}")
+        raise _TooLarge(f"factorization supported up to 2^32, got {limit}")
     return [n for n in range(3, limit + 1) if check(n).constructible]

@@ -37,6 +37,7 @@ from .geometry import (
     Curve,
     Line,
     Point,
+    VesicaError,
     angle as measure_angle,
     distance,
     divide_segment,
@@ -67,7 +68,7 @@ __all__ = [
 ]
 
 
-class ParseError(Exception):
+class ParseError(VesicaError):
     """Syntax error at a specific token; line and column are 1-based."""
 
     def __init__(self, line: int, column: int, message: str):
@@ -77,7 +78,7 @@ class ParseError(Exception):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-class EvalError(Exception):
+class EvalError(VesicaError):
     """Base class for failures while executing a program."""
 
 
@@ -118,9 +119,9 @@ class Num:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
-            raise ValueError(f"numeric literal must be finite, got {self.value}")
+            raise VesicaError(f"numeric literal must be finite, got {self.value}")
         if self.symbol is not None and self.symbol not in _SYMBOLIC:
-            raise ValueError(f"unknown symbolic literal {self.symbol!r}")
+            raise VesicaError(f"unknown symbolic literal {self.symbol!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,9 +133,9 @@ class Selector:
 
     def __post_init__(self) -> None:
         if self.kind not in _SELECTOR_KINDS:
-            raise ValueError(f"unknown selector kind {self.kind!r}")
+            raise VesicaError(f"unknown selector kind {self.kind!r}")
         if (self.ref is not None) != (self.kind == "near"):
-            raise ValueError("selector `near` takes a point name; others take none")
+            raise VesicaError("selector `near` takes a point name; others take none")
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,9 +178,9 @@ class Intersect:
 
     def __post_init__(self) -> None:
         if len(self.names) not in (1, 2):
-            raise ValueError("intersect binds one or two names")
+            raise VesicaError("intersect binds one or two names")
         if (len(self.names) == 2) != (self.pick is None):
-            raise ValueError("one result name takes a selector; two take none")
+            raise VesicaError("one result name takes a selector; two take none")
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,7 +211,7 @@ class Program:
 
     def __post_init__(self) -> None:
         if not self.statements:
-            raise ValueError("a program holds at least one statement")
+            raise VesicaError("a program holds at least one statement")
 
 
 @dataclass(slots=True)
@@ -431,24 +432,15 @@ def format_program(program: Program) -> str:
 
 # --- evaluator ---------------------------------------------------------------
 
-def _lookup_point(fig: Figure, name: str) -> Point:
+def _lookup(fig: Figure, name: str, want: str):
+    """The point (want="point") or curve (want="curve") bound to `name`."""
     try:
-        return fig.points[name]
+        return (fig.points if want == "point" else fig.curves)[name]
     except KeyError:
-        kind = "curve" if name in fig.curves else "scalar" if name in fig.scalars else None
-        if kind:
-            raise UnknownName(f"{name!r} names a {kind}, expected a point") from None
-        raise UnknownName(f"no point named {name!r}") from None
-
-
-def _lookup_curve(fig: Figure, name: str) -> Curve:
-    try:
-        return fig.curves[name]
-    except KeyError:
-        kind = "point" if name in fig.points else "scalar" if name in fig.scalars else None
-        if kind:
-            raise UnknownName(f"{name!r} names a {kind}, expected a curve") from None
-        raise UnknownName(f"no curve named {name!r}") from None
+        for kind, bound in (("point", fig.points), ("curve", fig.curves), ("scalar", fig.scalars)):
+            if name in bound:
+                raise UnknownName(f"{name!r} names a {kind}, expected a {want}") from None
+        raise UnknownName(f"no {want} named {name!r}") from None
 
 
 def _select(pick: Selector, points: list[Point], fig: Figure) -> Point:
@@ -471,7 +463,7 @@ def _select(pick: Selector, points: list[Point], fig: Figure) -> Point:
             return min(points, key=lambda p: p.x)
         case "right":
             return max(points, key=lambda p: p.x)
-    anchor = _lookup_point(fig, pick.ref)  # "near", the one kind left
+    anchor = _lookup(fig, pick.ref, "point")  # "near", the one kind left
     return min(points, key=lambda p: distance(anchor, p))
 
 
@@ -488,15 +480,16 @@ def evaluate(program: Program) -> Figure:
             case PointDef(name, x, y):
                 fig._bind(fig.points, name, Point(x.value, y.value))
             case LineDef(name, a, b):
-                fig._bind(fig.curves, name, Line(_lookup_point(fig, a), _lookup_point(fig, b)))
+                line = Line(_lookup(fig, a, "point"), _lookup(fig, b, "point"))
+                fig._bind(fig.curves, name, line)
             case CircleDef(name, center, through):
-                c = _lookup_point(fig, center)
-                fig._bind(fig.curves, name, Circle(c, distance(c, _lookup_point(fig, through))))
+                c = _lookup(fig, center, "point")
+                fig._bind(fig.curves, name, Circle(c, distance(c, _lookup(fig, through, "point"))))
             case CircleRadDef(name, center, rad_from, rad_to):
-                radius = distance(_lookup_point(fig, rad_from), _lookup_point(fig, rad_to))
-                fig._bind(fig.curves, name, Circle(_lookup_point(fig, center), radius))
+                radius = distance(_lookup(fig, rad_from, "point"), _lookup(fig, rad_to, "point"))
+                fig._bind(fig.curves, name, Circle(_lookup(fig, center, "point"), radius))
             case Intersect(names, a, b, pick):
-                hits = intersect_curves(_lookup_curve(fig, a), _lookup_curve(fig, b))
+                hits = intersect_curves(_lookup(fig, a, "curve"), _lookup(fig, b, "curve"))
                 if pick is None:
                     if len(hits) < 2:
                         raise SelectorEmpty(
@@ -511,11 +504,13 @@ def evaluate(program: Program) -> Figure:
                 fig._bind(
                     fig.points,
                     name,
-                    divide_segment(_lookup_point(fig, start), _lookup_point(fig, end), n, k),
+                    divide_segment(_lookup(fig, start, "point"), _lookup(fig, end, "point"), n, k),
                 )
             case MeasureAngle(name, vertex, p, q):
                 value = measure_angle(
-                    _lookup_point(fig, vertex), _lookup_point(fig, p), _lookup_point(fig, q)
+                    _lookup(fig, vertex, "point"),
+                    _lookup(fig, p, "point"),
+                    _lookup(fig, q, "point"),
                 )
                 fig._bind(fig.scalars, name, value)
     return fig

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 EPS_GEOM = 1e-9
 
 
-class GeometryError(Exception):
+class VesicaError(ValueError):
+    """Root of every error vesica raises for input it cannot handle: a bad
+    argument, a malformed program, a failed construction, a size bound."""
+
+
+class GeometryError(VesicaError):
     """Base class for geometric failure modes."""
 
 
@@ -41,7 +46,7 @@ class Point:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
+            raise VesicaError(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +58,7 @@ class Line:
 
     def __post_init__(self) -> None:
         if distance(self.p, self.q) <= EPS_GEOM:
-            raise ValueError(f"line anchors coincide: {self.p} and {self.q}")
+            raise VesicaError(f"line anchors coincide: {self.p} and {self.q}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +68,7 @@ class Circle:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.radius) or self.radius <= EPS_GEOM:
-            raise ValueError(f"circle radius must be positive, got {self.radius}")
+            raise VesicaError(f"circle radius must be positive, got {self.radius}")
 
 
 Curve = Line | Circle
@@ -97,7 +102,7 @@ def divide_segment(p: Point, q: Point, n: int, k: int) -> Point:
     interpolation guarantees this in floating point).
     """
     if distance(p, q) <= EPS_GEOM:
-        raise ValueError(f"cannot divide a degenerate segment at {p}")
+        raise VesicaError(f"cannot divide a degenerate segment at {p}")
     if n < 1:
         raise BadIndex(f"segment must be divided into at least 1 part, got n={n}")
     if not 0 <= k <= n:
@@ -110,7 +115,7 @@ def divide_segment(p: Point, q: Point, n: int, k: int) -> Point:
 def rotate(p: Point, center: Point, theta: float) -> Point:
     """Rotate p about center by theta radians (counterclockwise positive)."""
     if not math.isfinite(theta):
-        raise ValueError(f"rotation angle must be finite, got {theta}")
+        raise VesicaError(f"rotation angle must be finite, got {theta}")
     c, s = math.cos(theta), math.sin(theta)
     dx, dy = p.x - center.x, p.y - center.y
     return Point(center.x + dx * c - dy * s, center.y + dx * s + dy * c)

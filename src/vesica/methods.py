@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .geometry import EPS_GEOM, Point, rotate
+from .geometry import EPS_GEOM, Point, VesicaError, rotate
 from .dsl import (
     CircleDef,
     Divide,
@@ -75,12 +75,13 @@ class Method(Enum):
     TEMPIER = "tempier"
 
 
-class UnsupportedN(ValueError):
+class UnsupportedN(VesicaError):
     """n below 4: the aiming point would sit right of the center and the
-    obtuse-angle derivation behind the closed forms no longer applies."""
+    obtuse-angle derivation behind the closed forms no longer applies; or n
+    too large to convert to a float."""
 
 
-class DomainError(ValueError):
+class DomainError(VesicaError):
     """An inverse-trig argument left [-1, 1] by more than the geometric
     coincidence threshold, or a rectified quadrant's implied pi overflowed."""
 
@@ -88,11 +89,17 @@ class DomainError(ValueError):
 def _require_n(n: int) -> None:
     if n < 4:
         raise UnsupportedN(f"circle division is supported for n >= 4, got n={n}")
+    try:
+        float(n)  # 2*pi/n is computed in floating point
+    except OverflowError:
+        raise UnsupportedN(
+            f"circle division is supported for n < 2^1024, got a {n.bit_length()}-bit n"
+        ) from None
 
 
 def _require_base(base_distance: float) -> None:
     if not (base_distance > 0.0 and math.isfinite(base_distance)):
-        raise ValueError(f"base distance must be positive, got {base_distance}")
+        raise VesicaError(f"base distance must be positive, got {base_distance}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,6 +281,7 @@ def best_method(n: int) -> Method | None:
     Returns None on a tie, i.e. when the two agree within 1e-4 (covers the
     exact n=4 case and the near-tie at n=8).
     """
+    _require_n(n)
     exact = TAU / n
     errors = {m: abs(exact - method_angle(m, n)) / exact for m in _SPECS}
     low, high = sorted(errors.values())

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 
 from .dsl import Figure
-from .geometry import Circle, Line, Point
+from .geometry import Circle, Line, Point, VesicaError
 from .methods import PolygonResult
 
 __all__ = ["RenderOptions", "EmptyFigure", "render_svg", "render_polygon", "fixed"]
 
 
-class EmptyFigure(Exception):
+class EmptyFigure(VesicaError):
     """Nothing to draw: the figure holds no points and no curves."""
 
 
@@ -34,19 +34,19 @@ class RenderOptions:
 
     def __post_init__(self) -> None:
         if self.width_px <= 0:
-            raise ValueError(f"width_px must be positive, got {self.width_px}")
+            raise VesicaError(f"width_px must be positive, got {self.width_px}")
         if not 0.0 <= self.margin <= 0.4:
-            raise ValueError(f"margin must be in [0, 0.4], got {self.margin}")
+            raise VesicaError(f"margin must be in [0, 0.4], got {self.margin}")
         if self.stroke_width <= 0:
-            raise ValueError(f"stroke_width must be positive, got {self.stroke_width}")
+            raise VesicaError(f"stroke_width must be positive, got {self.stroke_width}")
         if not 0 <= self.decimals <= 15:
-            raise ValueError(f"decimals must be in [0, 15], got {self.decimals}")
+            raise VesicaError(f"decimals must be in [0, 15], got {self.decimals}")
 
 
 def fixed(value: float, decimals: int) -> str:
     """Format with exactly `decimals` fraction digits, ties away from zero."""
     if not math.isfinite(value):
-        raise ValueError(f"cannot format the non-finite value {value}")
+        raise VesicaError(f"cannot format the non-finite value {value}")
     exponent = Decimal(1).scaleb(-decimals)
     with localcontext() as ctx:
         ctx.prec = 340  # any finite double (<= ~1.8e308) plus 15 fraction digits
@@ -75,7 +75,7 @@ class _Canvas:
         self.decimals = opts.decimals
         # A flat figure drawn with margin 0 keeps its height of 0.
         if not (0.0 < self.scale < math.inf and self.height < math.inf):
-            raise ValueError(
+            raise VesicaError(
                 f"cannot scale a figure spanning x {bounds[0]!r}..{bounds[2]!r}, "
                 f"y {bounds[1]!r}..{bounds[3]!r} to {opts.width_px} px"
             )

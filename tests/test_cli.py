@@ -5,7 +5,8 @@ import pytest
 
 from vesica import cli
 from vesica.cli import main
-from vesica.methods import bion_angle, tempier_angle
+from vesica.dsl import ParseError, format_program, parse
+from vesica.methods import bion_angle, tempier_angle, tempier_program
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +166,27 @@ def test_run_reports_line_of_lf_separated_file(capsys, tmp_path):
     assert "line 2, column 11:" in err
 
 
+def test_run_reports_lone_cr_where_parse_does(capsys, tmp_path):
+    path = tmp_path / "cr.euc"
+    path.write_bytes(b"point A = (0, 0)\rline L = A\n")
+    with pytest.raises(ParseError) as parsed:
+        parse(path.read_bytes().decode("utf-8"))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {parsed.value}\n"
+    assert "line 1, column 17: unexpected character '\\r'" in err
+
+
+def test_run_crlf_file_prints_the_scalars_of_its_lf_twin(capsys, tmp_path):
+    text = format_program(tempier_program(17))
+    lf, crlf = tmp_path / "lf.euc", tmp_path / "crlf.euc"
+    lf.write_bytes(text.encode("utf-8"))
+    crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    code, out, err = run_cli(capsys, "run", str(lf))
+    assert code == 0 and err == "" and out.startswith("theta = ")
+    assert run_cli(capsys, "run", str(crlf)) == (code, out, err)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -283,6 +305,59 @@ def test_rectify_overflowing_distance_exits_2(capsys, distance):
     code, out, err = run_cli(capsys, "rectify", "--distance", distance)
     assert code == 2 and out == ""
     assert "implied pi" in err and "Traceback" not in err
+
+
+# --- error handling ---------------------------------------------------------------------
+
+_TWO_POINTS = "point A = (0, 0)\npoint B = (1, 0)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, euc",
+    [
+        (["run"], "point A = (0, 0)\nline L = A A\n"),
+        (["run"], "point A = (0, 0)\ncircle c = A A\n"),
+        (["run"], "point A = (0, 0)\ndivide D = A A 2 1\n"),
+        (["run"], "point A = (-1e308, 0)\npoint B = (1e308, 0)\ncircle c = A B\n"),
+        (["run"], _TWO_POINTS + "line L = A B\nline M = B A\nintersect X = L M\n"),
+        (["run"], b"point A = (0, 0) # caf\xe9\n"),
+        (["check", "5000000000"], None),
+        (["check", "2"], None),
+        (["angle", "tempier", "9", "--base", "-1"], None),
+        (["angle", "tempier", "9", "--base", "nan"], None),
+        (["angle", "bion", "3"], None),
+        (["table", "bion", "--from", "10", "--to", "5"], None),
+        (["angle", "bion", str(10**400)], None),
+        (["table", "bion", "--from", str(10**400), "--to", str(10**400)], None),
+    ],
+    ids=[
+        "line-anchors-coincide", "circle-radius-zero", "divide-degenerate-segment",
+        "circle-radius-overflows", "coincident-lines", "euc-not-utf8",
+        "check-n-too-large", "check-n-too-small", "base-negative", "base-nan",
+        "angle-n-too-small", "table-empty-range", "angle-n-beyond-float",
+        "table-n-beyond-float",
+    ],
+)
+def test_domain_errors_exit_2_with_one_error_line(capsys, tmp_path, argv, euc):
+    if euc is not None:
+        path = tmp_path / "case.euc"
+        path.write_bytes(euc if isinstance(euc, bytes) else euc.encode("utf-8"))
+        argv = argv + [str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bug", [ValueError("bug"), OverflowError("bug")])
+def test_bugs_are_not_reported_as_domain_errors(monkeypatch, bug):
+    def broken(*args):
+        raise bug
+
+    monkeypatch.setattr(cli.methods, "method_angle", broken)
+    with pytest.raises(type(bug)) as raised:
+        main(["angle", "bion", "9"])
+    assert raised.value is bug
 
 
 # --- determinism ------------------------------------------------------------------------

@@ -303,6 +303,28 @@ def test_kind_mismatch_reports_unknown_name():
     assert "curve" in str(err.value)
 
 
+# Binds a point A, a scalar t and a curve L.
+_ABT = "point A = (0, 0)\npoint B = (1, 0)\npoint C = (0, 1)\nangle t = A B C\nline L = A B\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("line L = A B", "no point named 'A'"),
+        ("point A = (0, 0)\nintersect X = c d", "no curve named 'c'"),
+        (_ABT + "circle c = L A", "'L' names a curve, expected a point"),
+        (_ABT + "intersect X = L A", "'A' names a point, expected a curve"),
+        (_ABT + "line M = t A", "'t' names a scalar, expected a point"),
+        (_ABT + "intersect X = L t", "'t' names a scalar, expected a curve"),
+        (_ABT + "circle c = A B\nintersect X = L c pick near Q", "no point named 'Q'"),
+    ],
+)
+def test_unknown_name_messages(text, message):
+    with pytest.raises(UnknownName) as err:
+        evaluate(parse(text))
+    assert str(err.value) == message
+
+
 def test_duplicate_name_across_namespaces():
     with pytest.raises(DuplicateName):
         evaluate(parse("point A = (0, 0)\npoint A = (1, 0)"))

@@ -1,8 +1,11 @@
+import importlib
 import math
+import pkgutil
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import vesica
 from vesica.geometry import (
     BadIndex,
     Circle,
@@ -10,6 +13,7 @@ from vesica.geometry import (
     DegenerateAngle,
     Line,
     Point,
+    VesicaError,
     angle,
     distance,
     divide_segment,
@@ -18,6 +22,18 @@ from vesica.geometry import (
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+# --- error hierarchy ------------------------------------------------------------
+
+def test_every_exported_exception_is_a_vesica_error():
+    exported = [getattr(vesica, name) for name in dir(vesica) if not name.startswith("_")]
+    for info in pkgutil.iter_modules(vesica.__path__):
+        module = importlib.import_module(f"vesica.{info.name}")
+        exported += [getattr(module, name) for name in getattr(module, "__all__", ())]
+    errors = {x for x in exported if isinstance(x, type) and issubclass(x, BaseException)}
+    assert {vesica.GeometryError, vesica.ParseError, vesica.EmptyFigure} <= errors
+    assert sorted(e.__name__ for e in errors if not issubclass(e, VesicaError)) == []
 
 
 # --- construction validation --------------------------------------------------
