@@ -132,7 +132,8 @@ def intersect(a: Curve, b: Curve) -> list[Point]:
     intersect(a, b) and intersect(b, a) run the same arithmetic and return
     bit-identical lists.
 
-    Raises CoincidentCurves when a and b are the same line or same circle.
+    Raises CoincidentCurves when a and b are the same line or same circle,
+    GeometryError when two circles lie too far out to square their coordinates.
     """
     if isinstance(a, Line) and isinstance(b, Line):
         first, second = _canonical_pair(a, b, _line_key)
@@ -141,8 +142,7 @@ def intersect(a: Curve, b: Curve) -> list[Point]:
         first, second = _canonical_pair(a, b, _circle_key)
         return _circle_circle(first, second)
     line, circle = (a, b) if isinstance(a, Line) else (b, a)
-    coeffs = _implicit(line)
-    return _implicit_line_circle(coeffs, circle)
+    return _implicit_line_circle(_implicit(line), circle)
 
 
 def _line_key(line: Line) -> tuple[float, float, float, float]:
@@ -211,10 +211,12 @@ def _circle_circle(c1: Circle, c2: Circle) -> list[Point]:
     # Radical line of the two circles, then one well-tested quadratic path.
     a = 2.0 * (c2.center.x - c1.center.x)
     b = 2.0 * (c2.center.y - c1.center.y)
-    c = (
-        (c1.center.x ** 2 + c1.center.y ** 2 - c1.radius ** 2)
-        - (c2.center.x ** 2 + c2.center.y ** 2 - c2.radius ** 2)
-    )
+    try:  # float ** 2 raises OverflowError past ~1.3e154 instead of returning inf
+        c = (c1.center.x ** 2 + c1.center.y ** 2 - c1.radius ** 2) - (
+            c2.center.x ** 2 + c2.center.y ** 2 - c2.radius ** 2
+        )
+    except OverflowError:
+        raise GeometryError(f"circles {c1} and {c2} are too large to intersect") from None
     return _implicit_line_circle((a, b, c), c1)
 
 

@@ -92,9 +92,7 @@ def _require_n(n: int) -> None:
     try:
         float(n)  # 2*pi/n is computed in floating point
     except OverflowError:
-        raise UnsupportedN(
-            f"circle division is supported for n < 2^1024, got a {n.bit_length()}-bit n"
-        ) from None
+        raise UnsupportedN(f"n is too large for a float, got a {n.bit_length()}-bit n") from None
 
 
 def _require_base(base_distance: float) -> None:

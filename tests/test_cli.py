@@ -320,6 +320,8 @@ _TWO_POINTS = "point A = (0, 0)\npoint B = (1, 0)\n"
         (["run"], "point A = (0, 0)\ndivide D = A A 2 1\n"),
         (["run"], "point A = (-1e308, 0)\npoint B = (1e308, 0)\ncircle c = A B\n"),
         (["run"], _TWO_POINTS + "line L = A B\nline M = B A\nintersect X = L M\n"),
+        (["run"], "point A = (1e200, 0)\npoint B = (0, 0)\n"
+                  "circle c = A B\ncircle d = B A\nintersect X Y = c d\n"),
         (["run"], b"point A = (0, 0) # caf\xe9\n"),
         (["check", "5000000000"], None),
         (["check", "2"], None),
@@ -332,7 +334,8 @@ _TWO_POINTS = "point A = (0, 0)\npoint B = (1, 0)\n"
     ],
     ids=[
         "line-anchors-coincide", "circle-radius-zero", "divide-degenerate-segment",
-        "circle-radius-overflows", "coincident-lines", "euc-not-utf8",
+        "circle-radius-overflows", "coincident-lines",
+        "circle-squares-overflow", "euc-not-utf8",
         "check-n-too-large", "check-n-too-small", "base-negative", "base-nan",
         "angle-n-too-small", "table-empty-range", "angle-n-beyond-float",
         "table-n-beyond-float",

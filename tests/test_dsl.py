@@ -22,7 +22,7 @@ from vesica.dsl import (
     format_program,
     parse,
 )
-from vesica.geometry import CoincidentCurves
+from vesica.geometry import CoincidentCurves, VesicaError
 
 from corpus import HANDWRITTEN_PROGRAMS, MALFORMED_PROGRAMS
 
@@ -343,6 +343,15 @@ def test_coincident_curves_propagates():
         "line l1 = A B\nline l2 = B C\nintersect X = l1 l2"
     )
     with pytest.raises(CoincidentCurves):
+        evaluate(parse(text))
+
+
+def test_overflowing_circle_intersection_is_a_vesica_error():
+    text = (
+        "point A = (1e200, 0)\npoint B = (0, 0)\n"
+        "circle c = A B\ncircle d = B A\nintersect X Y = c d\n"
+    )
+    with pytest.raises(VesicaError):
         evaluate(parse(text))
 
 

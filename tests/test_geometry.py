@@ -11,6 +11,7 @@ from vesica.geometry import (
     Circle,
     CoincidentCurves,
     DegenerateAngle,
+    GeometryError,
     Line,
     Point,
     VesicaError,
@@ -96,6 +97,13 @@ def test_coincident_curves_raise():
         intersect(c, Circle(Point(0, 0), 1.0))
     with pytest.raises(CoincidentCurves):
         intersect(Line(Point(0, 0), Point(1, 0)), Line(Point(2, 0), Point(3, 0)))
+
+
+def test_circles_too_far_out_to_square_raise():
+    # float ** 2 overflows past ~1.3e154; the kernel reports that as a GeometryError.
+    with pytest.raises(GeometryError, match="too large to intersect"):
+        intersect(Circle(Point(1e200, 0), 1e200), Circle(Point(0, 0), 1e200))
+    assert len(intersect(Circle(Point(1e150, 0), 1e150), Circle(Point(0, 0), 1e150))) == 2
 
 
 def test_concentric_distinct_circles_are_disjoint():

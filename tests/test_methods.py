@@ -142,8 +142,10 @@ def test_unsupported_n():
 def test_n_beyond_float_range_is_unsupported():
     n = 2**1024  # 2*pi/n would overflow converting n to float
     for fn in (bion_angle, tempier_angle, bion_program, tempier_program, best_method):
-        with pytest.raises(UnsupportedN, match="n < 2\\^1024, got a 1025-bit n"):
+        with pytest.raises(UnsupportedN, match="too large for a float, got a 1025-bit n"):
             fn(n)
+    with pytest.raises(UnsupportedN, match="too large for a float, got a 1024-bit n"):
+        bion_angle(2**1024 - 1)  # rounds up to 2^1024 when converted
     with pytest.raises(UnsupportedN):
         error_table(Method.BION, n, n)
     assert math.isfinite(bion_angle(2**1023))  # the largest power of two accepted
