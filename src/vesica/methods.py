@@ -11,8 +11,8 @@ and the central angle it spans approximates 2*pi/n:
 * Tempier: aim through the point two n-th parts of the diameter left of the
   center and measure the angle from the top of the vertical diameter.
 
-This module carries both the closed-form angles (planar trigonometry on the
-triangle V / center / division point) and generators that emit the same
+This module carries both the closed-form angles (where the ray from V meets
+the circle, solved without cancellation) and generators that emit the same
 constructions as DSL programs, so the geometric kernel and the formulas can
 be verified against each other.  It also quantifies how good V is at
 rectifying a quadrant, which is what makes the recipes work at all.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .geometry import EPS_GEOM, Point, VesicaError, rotate
+from .geometry import Point, VesicaError, rotate
 from .dsl import (
     CircleDef,
     Divide,
@@ -76,14 +76,12 @@ class Method(Enum):
 
 
 class UnsupportedN(VesicaError):
-    """n below 4: the aiming point would sit right of the center and the
-    obtuse-angle derivation behind the closed forms no longer applies; or n
-    too large to convert to a float."""
+    """n below 4, where Bion's aiming point would sit right of the center and
+    Tempier's beyond the diameter's end; or n too large to convert to a float."""
 
 
 class DomainError(VesicaError):
-    """An inverse-trig argument left [-1, 1] by more than the geometric
-    coincidence threshold, or a rectified quadrant's implied pi overflowed."""
+    """A rectified quadrant's implied pi overflowed a float."""
 
 
 def _require_n(n: int) -> None:
@@ -107,34 +105,31 @@ class _MethodSpec:
     aim: str                                    # name of the aiming point on BA
     division: Callable[[int], tuple[int, int]]  # n -> (parts, index) of BA, from B
     reference: str                              # theta is measured from B or D
-    limit: float                                # 1 - n*theta/(2*pi) as n -> inf
 
 
 _SPECS = {
-    Method.BION: _MethodSpec("F", lambda n: (n, 2), "B", 1.0 - 2.0 * SQRT3 / math.pi),
-    Method.TEMPIER: _MethodSpec(
-        "T", lambda n: (2 * n, n - 4), "D", -(6.0 + 2.0 * SQRT3 - 3.0 * math.pi) / (3.0 * math.pi)
-    ),
+    Method.BION: _MethodSpec("F", lambda n: (n, 2), "B"),
+    Method.TEMPIER: _MethodSpec("T", lambda n: (2 * n, n - 4), "D"),
 }
 
-
-def _arc_arg(value: float, what: str) -> float:
-    """Clamp an inverse-trig argument to [-1, 1]; beyond eps it is an error."""
-    if abs(value) > 1.0 + EPS_GEOM:
-        raise DomainError(f"{what} = {value} outside [-1, 1]")
-    return max(-1.0, min(1.0, value))
+# Far enough out that the 1/n term of n*theta(n) is far below an ulp.
+_LIMIT_N = 2**60
 
 
-def _closed_form(a: float, b: float, reference: str) -> float:
+def _closed_form(parts: int, index: int, b: float, reference: str) -> float:
     """Angle at the center of the unit circle from the reference point to the
-    upper hit G of the ray from V = (0, -b) through (-a, 0); with c = hypot(a, b)
-    it is arcsin(b/c) - arcsin(a*b/c) from B, arccos(-a/c) - arccos(a*b/c) from D.
+    upper hit G of the ray from V = (0, -b) through the division point (-a, 0),
+    a = (parts - 2*index)/parts.
+
+    With q = 1 - a^2 taken from the integers, G = (-a*(1+k), b*k) for
+    k = q / (hypot(a, b*sqrt(q)) + a^2).  Every term is a sum or product of
+    non-negative values, so no digits cancel at any n.
     """
-    c = math.hypot(a, b)
-    inner = _arc_arg(a * b / c, "a*b/c")
-    if reference == "B":
-        return math.asin(_arc_arg(b / c, "b/c")) - math.asin(inner)
-    return math.acos(_arc_arg(-a / c, "-a/c")) - math.acos(inner)
+    a = (parts - 2 * index) / parts
+    q = (2 * index / parts) * (2 * (parts - index) / parts)
+    k = q / (math.hypot(a, b * math.sqrt(q)) + a * a)
+    x, y = a * (1.0 + k), b * k
+    return math.atan2(y, x) if reference == "B" else math.atan2(x, y)
 
 
 def method_angle(method: Method, n: int, base_distance: float = SQRT3) -> float:
@@ -142,17 +137,17 @@ def method_angle(method: Method, n: int, base_distance: float = SQRT3) -> float:
     _require_n(n)
     _require_base(base_distance)
     spec = _SPECS[method]
-    parts, index = spec.division(n)
-    return _closed_form((parts - 2 * index) / parts, base_distance, spec.reference)
+    return _closed_form(*spec.division(n), base_distance, spec.reference)
 
 
 def bion_angle(n: int) -> float:
-    """Closed-form Bion central angle:
+    """Closed-form Bion central angle, the paper's
 
     x(n) = arcsin(sqrt(3) n / (2 sqrt(n^2 - 2n + 4)))
-         - arcsin(sqrt(3) (n-4) / (2 sqrt(n^2 - 2n + 4)))
+         - arcsin(sqrt(3) (n-4) / (2 sqrt(n^2 - 2n + 4))),
 
-    Exact (equal to 2*pi/n) only for n = 4 and n = 6.
+    evaluated in the cancellation-free form of _closed_form.  Exact (equal to
+    2*pi/n) only for n = 4 and n = 6.
     """
     return method_angle(Method.BION, n)
 
@@ -160,9 +155,10 @@ def bion_angle(n: int) -> float:
 def tempier_angle(n: int, base_distance: float = SQRT3) -> float:
     """Closed-form Tempier central angle; exact only for n = 4 and n = 12.
 
-    With the default base this is
-    y(n) = arccos(-4 / sqrt(3 n^2 + 16)) - arccos(4 sqrt(3) / sqrt(3 n^2 + 16));
-    a different base_distance substitutes for sqrt(3) throughout.
+    With the default base this is the paper's
+    y(n) = arccos(-4 / sqrt(3 n^2 + 16)) - arccos(4 sqrt(3) / sqrt(3 n^2 + 16)),
+    evaluated in the cancellation-free form of _closed_form; a different
+    base_distance substitutes for sqrt(3) throughout.
     """
     return method_angle(Method.TEMPIER, n, base_distance)
 
@@ -266,11 +262,11 @@ def error_table(method: Method, n_from: int, n_to: int) -> list[ErrorRow]:
 def relative_error_limit(method: Method) -> float:
     """Limit of the signed relative error 1 - n*angle(n)/(2*pi) as n grows.
 
-    Bion: 1 - 2*sqrt(3)/pi (about -0.1026); Tempier: -(6 + 2*sqrt(3) - 3*pi)
-    / (3*pi) (about -0.0042), which is exactly the quadrant-rectification
-    error of the base point V.
+    Read off the closed form at a huge n.  Bion: 1 - 2*sqrt(3)/pi (about
+    -0.1026); Tempier: 1 - 2*(1 + sqrt(3))/(pi*sqrt(3)) (about -0.0042), which
+    is exactly the quadrant-rectification error of the base point V.
     """
-    return _SPECS[method].limit
+    return 1.0 - _LIMIT_N * method_angle(method, _LIMIT_N) / TAU
 
 
 def best_method(n: int) -> Method | None:

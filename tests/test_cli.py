@@ -6,7 +6,13 @@ import pytest
 from vesica import cli
 from vesica.cli import main
 from vesica.dsl import ParseError, format_program, parse
-from vesica.methods import bion_angle, tempier_angle, tempier_program
+from vesica.methods import (
+    Method,
+    bion_angle,
+    relative_error_limit,
+    tempier_angle,
+    tempier_program,
+)
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +31,15 @@ def test_angle_bion(capsys):
     assert float(lines["exact"]) == pytest.approx(2 * math.pi / 9, abs=0)
     assert float(lines["error"]) == pytest.approx(2 * math.pi / 9 - bion_angle(9))
     assert float(lines["rel_error"]) == pytest.approx(0.0069, abs=1e-3)
+
+
+@pytest.mark.parametrize("method, n", [("bion", 10**15), ("tempier", 2**60)])
+def test_angle_at_huge_n_prints_the_limit(capsys, method, n):
+    code, out, _ = run_cli(capsys, "angle", method, str(n))
+    assert code == 0
+    lines = dict(line.split(maxsplit=1) for line in out.strip().splitlines())
+    limit = relative_error_limit(Method(method))
+    assert float(lines["rel_error"]) == pytest.approx(abs(limit), abs=1e-9)
 
 
 def test_angle_tempier_with_base(capsys):

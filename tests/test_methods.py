@@ -1,7 +1,9 @@
 import math
+import random
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from vesica.dsl import evaluate, format_program, parse
 from vesica.methods import (
@@ -11,6 +13,8 @@ from vesica.methods import (
     UnsupportedN,
     _closed_form,
     best_method,
+    method_angle,
+    method_program,
     bion_angle,
     bion_program,
     error_table,
@@ -28,35 +32,37 @@ TAU = 2 * math.pi
 # --- angle formulas -------------------------------------------------------------
 
 def test_angle_x_nonagon():
-    assert _closed_form(5 / 9, SQRT3, "B") == pytest.approx(0.7030, abs=5e-5)
+    assert _closed_form(9, 2, SQRT3, "B") == pytest.approx(0.7030, abs=5e-5)
 
 
 def test_angle_x_square_case():
-    assert _closed_form(0.0, SQRT3, "B") == pytest.approx(math.pi / 2, abs=1e-15)
+    assert _closed_form(4, 2, SQRT3, "B") == pytest.approx(math.pi / 2, abs=1e-15)
 
 
 def test_angle_x_hexagon_exact():
-    assert _closed_form(1 / 3, SQRT3, "B") == pytest.approx(math.pi / 3, abs=1e-12)
+    assert _closed_form(6, 2, SQRT3, "B") == pytest.approx(math.pi / 3, abs=1e-12)
 
 
 def test_angle_y_nonagon():
-    assert _closed_form(4 / 9, SQRT3, "D") == pytest.approx(0.6962, abs=5e-5)
+    assert _closed_form(18, 5, SQRT3, "D") == pytest.approx(0.6962, abs=5e-5)
 
 
 def test_angle_y_square_case():
-    assert _closed_form(1.0, SQRT3, "D") == pytest.approx(math.pi / 2, abs=1e-15)
+    assert _closed_form(8, 0, SQRT3, "D") == pytest.approx(math.pi / 2, abs=1e-15)
 
 
 def test_angle_y_dodecagon_exact():
-    assert _closed_form(1 / 3, SQRT3, "D") == pytest.approx(math.pi / 6, abs=1e-12)
+    assert _closed_form(24, 8, SQRT3, "D") == pytest.approx(math.pi / 6, abs=1e-12)
 
 
-def test_domain_error_when_sine_argument_exceeds_one():
-    # aiming point (-5, 0) lies outside the unit circle: a*b/c = 5/sqrt(2)
-    with pytest.raises(DomainError):
-        _closed_form(5.0, 5.0, "B")
-    with pytest.raises(DomainError):
-        _closed_form(5.0, 5.0, "D")
+@given(
+    st.sampled_from(list(Method)),
+    st.integers(min_value=4, max_value=2**1023),
+    st.floats(min_value=1e-6, max_value=1e6),
+)
+def test_closed_form_is_finite_and_in_first_quadrant(method, n, base):
+    theta = method_angle(method, n, base if method is Method.TEMPIER else SQRT3)
+    assert 0.0 <= theta <= math.pi / 2
 
 
 # --- closed forms ---------------------------------------------------------------
@@ -83,16 +89,17 @@ def test_bion_agrees_with_general_formula():
         assert bion_angle(n) == pytest.approx(x, abs=1e-14)
 
 
-def _oracle_angle(method: Method, n: int) -> mpmath.mpf:
+def _oracle_angle(method: Method, n: int, base: float | None = None) -> mpmath.mpf:
     """The construction itself at 50 digits: intersect the ray from
-    V = (0, -sqrt3) through the aiming point with the unit circle and measure
-    the upper hit G from the reference point.  No arcsin/arccos formula."""
+    V = (0, -base) through the aiming point with the unit circle and measure
+    the upper hit G from the reference point.  No arcsin/arccos formula.
+    G's height loses about log10(n) digits, leaving 30 for every n < 2^62."""
     with mpmath.workdps(50):
         aim, ref = {
             Method.BION: (-1 + mpmath.mpf(4) / n, (-1, 0)),
             Method.TEMPIER: (-mpmath.mpf(4) / n, (0, 1)),
         }[method]
-        vy = -mpmath.sqrt(3)
+        vy = -mpmath.sqrt(3) if base is None else -mpmath.mpf(base)
         dx, dy = aim, -vy
         # |V + t (dx, dy)|^2 = 1, larger root is the upper hit
         qa, qb, qc = dx * dx + dy * dy, 2 * vy * dy, vy * vy - 1
@@ -101,12 +108,36 @@ def _oracle_angle(method: Method, n: int) -> mpmath.mpf:
         return mpmath.atan2(abs(ref[0] * gy - ref[1] * gx), ref[0] * gx + ref[1] * gy)
 
 
+# n = 4..2000, 500 seeded n below 2^62, the powers of ten up to 10^18, and 2^60
+_ORACLE_NS = (
+    list(range(4, 2001))
+    + random.Random(20261018).sample(range(4, 2**62), 500)
+    + [10**k for k in range(1, 19)]
+    + [2**60]
+)
+
+
 def test_closed_forms_match_50_digit_oracle():
-    for method, closed_form in ((Method.BION, bion_angle), (Method.TEMPIER, tempier_angle)):
+    # relative budget of 4 ulp at every n, both methods, Tempier at four bases
+    cases = [(method, None) for method in Method]
+    cases += [(Method.TEMPIER, base) for base in (1.0, 1.75, 4.0)]
+    for method, base in cases:
+        b = SQRT3 if base is None else base
         worst = max(
-            abs(closed_form(n) - _oracle_angle(method, n)) for n in range(4, 2001)
+            (abs(method_angle(method, n, b) / _oracle_angle(method, n, base) - 1), n)
+            for n in _ORACLE_NS
         )
-        assert worst < 1e-15, (method, worst)
+        assert worst[0] <= 4 * 2.0**-52, (method, base, worst)
+
+
+def test_kernel_agrees_with_closed_form_within_n_eps():
+    # G sits about 1/n from its reference point, so the kernel's coordinate
+    # rounding of about eps becomes a relative angle error of about n*eps.
+    for n in random.Random(7).sample(range(200, 10**6 + 1), 400):
+        for method in Method:
+            closed = method_angle(method, n)
+            kernel = evaluate(method_program(method, n)).scalars["theta"]
+            assert abs(kernel - closed) / closed <= n * 2.0**-52, (method, n)
 
 
 def test_tempier_angle_pentagon():
@@ -197,8 +228,8 @@ def test_generated_programs_roundtrip():
 
 
 # --- pinned outputs ---------------------------------------------------------------
-# Literals printed by the earlier per-method code (separate Bion and Tempier
-# builders and formulas); the shared method table must reproduce them exactly.
+# Exact program texts and closed-form reprs; a change to any of them is a
+# change to CLI output and must be documented value by value.
 
 def test_output_bytes_pinned():
     assert format_program(bion_program(9)) == (
@@ -215,12 +246,12 @@ def test_output_bytes_pinned():
         "intersect G = ray main pick upper\nangle theta = C D G\n"
     )
     assert [repr(tempier_angle(n)) for n in range(4, 21)] == [
-        "1.5707963267948968", "1.2455740101974564", "1.0389346732239026",
-        "0.8922696493689176", "0.7821279147681708", "0.6962248370400022",
-        "0.6273123730446273", "0.5707933406669441", "0.5235987755982989",
-        "0.4835978502633538", "0.44926360639640084", "0.4194727661855062",
-        "0.3933804620041692", "0.3703389733598801", "0.3498433877382108",
-        "0.33149430585190753", "0.3149716572979655",
+        "1.5707963267948966", "1.2455740101974564", "1.0389346732239026",
+        "0.8922696493689178", "0.7821279147681708", "0.696224837040002",
+        "0.6273123730446273", "0.5707933406669442", "0.5235987755982989",
+        "0.48359785026335395", "0.4492636063964008", "0.41947276618550616",
+        "0.39338046200416926", "0.37033897335988014", "0.3498433877382108",
+        "0.33149430585190737", "0.3149716572979656",
     ]
     assert repr(polygon(Method.BION, 9).closure_gap) == "0.043638788750532065"
 
@@ -286,16 +317,24 @@ def test_relative_error_limits():
     assert relative_error_limit(Method.BION) == pytest.approx(
         1 - 2 * SQRT3 / math.pi, abs=0
     )
+    with mpmath.workdps(50):
+        root3, pi = mpmath.sqrt(3), mpmath.pi
+        want = {
+            Method.BION: 1 - 2 * root3 / pi,
+            Method.TEMPIER: 1 - 2 * (1 + root3) / (pi * root3),
+        }
+        for method, limit in want.items():
+            assert abs(relative_error_limit(method) - limit) <= 2.0**-53, method
     assert relative_error_limit(Method.BION) == pytest.approx(-0.1026, abs=1e-4)
     assert relative_error_limit(Method.TEMPIER) == pytest.approx(-0.00417, abs=5e-6)
 
 
 def test_numeric_limit_agreement():
-    n = 10**6
-    bion_rel = 1 - n * bion_angle(n) / TAU
-    assert abs(bion_rel - relative_error_limit(Method.BION)) < 1e-4
-    tempier_rel = 1 - n * tempier_angle(n) / TAU
-    assert abs(tempier_rel - relative_error_limit(Method.TEMPIER)) < 1e-4
+    for n, tol in ((10**6, 1e-4), (10**15, 1e-12)):
+        bion_rel = 1 - n * bion_angle(n) / TAU
+        assert abs(bion_rel - relative_error_limit(Method.BION)) < tol, n
+        tempier_rel = 1 - n * tempier_angle(n) / TAU
+        assert abs(tempier_rel - relative_error_limit(Method.TEMPIER)) < tol, n
 
 
 def test_best_method():
