@@ -2,13 +2,18 @@
 
 A regular n-gon is constructible exactly when n factors as a power of two
 times a product of distinct Fermat primes (primes of the form 2^(2^m) + 1).
-The verdict carries the factorization as evidence, or the first obstruction:
-a repeated odd prime, or an odd prime that is not a Fermat prime.
+`check` factors n by trial division, so that its verdict carries the
+factorization as evidence, or the first obstruction: a repeated odd prime, or
+an odd prime that is not a Fermat prime.  `constructible_up_to` factors
+nothing: it enumerates the powers of two times products of Fermat primes.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import combinations
+from math import isqrt, prod
 
 from .geometry import VesicaError
 
@@ -21,8 +26,10 @@ __all__ = [
     "FACTOR_LIMIT",
 ]
 
-# Trial-division factorization is the documented cutoff; inputs above it
-# raise _TooLarge, an OverflowError, rather than silently taking minutes.
+# The range of the module.  It bounds `check`, whose trial division would
+# otherwise take minutes, and inputs above it raise _TooLarge, an
+# OverflowError.  The census enumerates and has no such cost; it keeps the
+# bound only so that both functions accept the same range.
 FACTOR_LIMIT = 2 ** 32
 
 
@@ -35,6 +42,12 @@ class _TooLarge(VesicaError, OverflowError):
 # and the next candidate, 2^64 + 1, lies beyond the supported range.
 _FERMAT_PRIMES = frozenset({3, 5, 17, 257, 65537})
 _PRIMALITY_LIMIT = 2 ** 64
+
+# The 32 products of distinct Fermat primes, the empty product 1 included.
+_FERMAT_PRODUCTS = tuple(
+    prod(subset) for k in range(len(_FERMAT_PRIMES) + 1)
+    for subset in combinations(_FERMAT_PRIMES, k)
+)
 
 
 def is_fermat_prime(p: int) -> bool:
@@ -80,18 +93,27 @@ class ConstructibilityVerdict:
 
 
 def _factor(n: int) -> list[tuple[int, int]]:
-    """Trial-division factorization as (prime, exponent) pairs, ascending."""
+    """Trial-division factorization of n >= 1 as (prime, exponent) pairs,
+    ascending.  After 2 and 3 only p = 6k - 1 and p + 2 = 6k + 1 can be
+    prime, and the scan over them restarts with a smaller bound isqrt(m)
+    whenever a factor is divided out of m."""
     factors = []
     m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
+    divisors, start = (2, 3), 5
+    while True:
+        for q in divisors:
             e = 0
-            while m % p == 0:
-                m //= p
+            while m % q == 0:
+                m //= q
                 e += 1
-            factors.append((p, e))
-        p += 1 if p == 2 else 2
+            if e:
+                factors.append((q, e))
+        for p in range(start, isqrt(m) + 1, 6):
+            if not (m % p and m % (p + 2)):
+                break
+        else:
+            break
+        divisors, start = (p, p + 2), p + 6
     if m > 1:
         factors.append((m, 1))
     return factors
@@ -99,6 +121,7 @@ def _factor(n: int) -> list[tuple[int, int]]:
 
 def check(n: int) -> ConstructibilityVerdict:
     """Constructibility verdict for the regular n-gon, n >= 3."""
+    n = operator.index(n)
     if n < 3:
         raise VesicaError(f"polygons need at least 3 sides, got n={n}")
     if n > FACTOR_LIMIT:
@@ -126,9 +149,17 @@ def check(n: int) -> ConstructibilityVerdict:
 
 
 def constructible_up_to(limit: int) -> list[int]:
-    """All constructible n in [3, limit], ascending."""
+    """All constructible n in [3, limit], ascending: every product of
+    distinct Fermat primes times every power of two, up to limit."""
+    limit = operator.index(limit)
     if limit < 3:
         raise VesicaError(f"limit must be at least 3, got {limit}")
     if limit > FACTOR_LIMIT:
         raise _TooLarge(f"factorization supported up to 2^32, got {limit}")
-    return [n for n in range(3, limit + 1) if check(n).constructible]
+    census = []
+    for n in _FERMAT_PRODUCTS:
+        while n <= limit:
+            if n >= 3:
+                census.append(n)
+            n *= 2
+    return sorted(census)

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from vesica.constructible import (
     ConstructibilityVerdict,
     FACTOR_LIMIT,
+    _factor,
     check,
     constructible_up_to,
     is_fermat_prime,
@@ -12,7 +15,7 @@ from vesica.constructible import (
 # prime for p-1 being a power of two with exponent one.
 
 
-def _oracle_constructible(n: int) -> bool:
+def _naive_factor(n: int) -> dict[int, int]:
     m, factors = n, {}
     p = 2
     while p * p <= m:
@@ -22,7 +25,11 @@ def _oracle_constructible(n: int) -> bool:
         p += 1
     if m > 1:
         factors[m] = factors.get(m, 0) + 1
-    for prime, exponent in factors.items():
+    return factors
+
+
+def _oracle_constructible(n: int) -> bool:
+    for prime, exponent in _naive_factor(n).items():
         if prime == 2:
             continue
         if exponent > 1:
@@ -107,6 +114,14 @@ def test_check_input_validation():
         constructible_up_to(FACTOR_LIMIT + 1)
 
 
+@pytest.mark.parametrize("n", [9.0, 7.5])
+def test_non_integers_raise_type_error(n):
+    with pytest.raises(TypeError):
+        check(n)
+    with pytest.raises(TypeError):
+        constructible_up_to(n)
+
+
 def test_constructible_up_to_20_matches_frozen_oracle():
     assert constructible_up_to(20) == ORACLE_UP_TO_20
 
@@ -119,6 +134,31 @@ def test_constructible_up_to_300_matches_oracle():
     got = constructible_up_to(300)
     assert len(got) == ORACLE_COUNT_UP_TO_300
     assert got == [n for n in range(3, 301) if _oracle_constructible(n)]
+
+
+def test_census_matches_check_up_to_20000():
+    assert constructible_up_to(20_000) == [
+        n for n in range(3, 20_001) if check(n).constructible
+    ]
+
+
+def test_census_up_to_2_32():
+    census = constructible_up_to(2**32)
+    assert len(census) == 527
+    assert all(a < b for a, b in zip(census, census[1:]))
+    for n in census:
+        assert check(n).constructible, n
+
+
+def test_factor_matches_naive_oracle():
+    rng = random.Random(20261018)
+    ns = list(range(1, 20_001)) + [rng.randint(1, 2**32) for _ in range(2000)]
+    # the 6k +- 1 wheel's edge cases: the largest prime square <= 2^32, the
+    # two largest primes below 2^16, a high power of 3, consecutive small
+    # primes, 2^32 itself and the largest prime below 2^32
+    ns += [65521**2, 65519 * 65521, 3**20, 5 * 7 * 11 * 13 * 17 * 19, 2**32, 4294967291]
+    for n in ns:
+        assert _factor(n) == sorted(_naive_factor(n).items()), n
 
 
 def test_verdicts_match_oracle_up_to_300():

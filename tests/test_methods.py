@@ -362,6 +362,18 @@ def test_exact_point_implies_pi():
     )
 
 
+def test_rectification_matches_50_digit_oracle():
+    # within 2 ulp of 2(d + 1)/d evaluated at 50 digits for the float d
+    rng = random.Random(20261018)
+    distances = [SQRT3, 7 / 4, exact_rectifier_distance()]
+    distances += [10 ** rng.uniform(-6, 6) for _ in range(200)]
+    with mpmath.workdps(50):
+        for d in distances:
+            exact = 2 * (mpmath.mpf(d) + 1) / mpmath.mpf(d)
+            got = rectified_quadrant(d).implied_pi
+            assert abs(got / exact - 1) <= 2 * 2.0**-52, d
+
+
 def test_exact_rectifier_distance_value_and_ordering():
     d = exact_rectifier_distance()
     assert d == pytest.approx(1.75194, abs=5e-6)
