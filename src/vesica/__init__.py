@@ -60,6 +60,6 @@ from .constructible import (
     constructible_up_to,
     is_fermat_prime,
 )
-from .svg import EmptyFigure, RenderOptions, render_polygon, render_svg
+from .svg import EmptyFigure, render_polygon, render_svg
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import sys
 from . import constructible, dsl, methods
 from .geometry import VesicaError
 from .methods import Method, SQRT3
-from .svg import RenderOptions, fixed, render_polygon, render_svg
+from .svg import fixed, render_polygon, render_svg
 
 
 # Bounds on CLI input that keep memory and time small; the library takes any size.
@@ -94,7 +94,7 @@ def _cmd_run(ns) -> int:
     for name, value in figure.scalars.items():
         print(f"{name} = {value!r}")
     if ns.svg:
-        _write_svg(ns.svg, render_svg(figure, _render_options(ns)))
+        _write_svg(ns.svg, render_svg(figure, labels=not ns.no_labels))
     return 0
 
 
@@ -102,7 +102,7 @@ def _cmd_polygon(ns) -> int:
     if ns.n > _MAX_POLYGON_N:
         raise VesicaError(f"polygon supports n <= {_MAX_POLYGON_N}, got n={ns.n}")
     result = methods.polygon(Method(ns.method), ns.n)
-    _write_svg(ns.svg, render_polygon(result, _render_options(ns)))
+    _write_svg(ns.svg, render_polygon(result, labels=not ns.no_labels))
     print(f"closure_gap = {result.closure_gap!r}")
     return 0
 
@@ -124,10 +124,6 @@ def _cmd_rectify(ns) -> int:
     for label, result in rows:
         print(f"{label:<8} {fixed(result.base_distance, 5)} {fixed(result.implied_pi, 5)}")
     return 0
-
-
-def _render_options(ns) -> RenderOptions:
-    return RenderOptions(label_points=not ns.no_labels)
 
 
 def _write_svg(path: str, document: str) -> None:
@@ -197,7 +193,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return ns.func(ns)
     except OSError as exc:
-        print(f"error: {exc.strerror or exc}: {getattr(exc, 'filename', '')}", file=sys.stderr)
+        where = f": {exc.filename}" if exc.filename is not None else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 1
     except VesicaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -100,14 +100,9 @@ _SELECTOR_KINDS = frozenset(
     {"first", "second", "upper", "lower", "left", "right", "near"}
 )
 
-_KEYWORDS = frozenset(
-    {
-        "point", "line", "circle", "intersect", "divide", "angle",
-        "pick", "radius", "near", "both",
-        "first", "second", "upper", "lower", "left", "right",
-        "pi", "sqrt3",
-    }
-)
+_STATEMENT_KEYWORDS = frozenset({"point", "line", "circle", "intersect", "divide", "angle"})
+
+_KEYWORDS = _STATEMENT_KEYWORDS | _SELECTOR_KINDS | frozenset(_SYMBOLIC) | {"pick", "radius", "both"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,7 +313,7 @@ class _Cursor:
         kind, keyword, _ = self.tokens[0]
         if kind != "name":
             raise self.fail(f"expected a statement keyword, found {self.found()}")
-        if keyword not in ("point", "line", "circle", "intersect", "divide", "angle"):
+        if keyword not in _STATEMENT_KEYWORDS:
             raise self.fail(f"unknown statement keyword {keyword!r}")
         self.pos = 1
         name = self.name()

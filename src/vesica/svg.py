@@ -1,93 +1,96 @@
 """Byte-deterministic SVG 1.1 rendering of evaluated figures.
 
 The world y-axis points up (math orientation, base point V below the
-diameter); SVG's points down, so the mapping to pixel space flips y.  All
-printed numbers carry exactly `decimals` fraction digits with ties rounded
-half away from zero, object order follows figure insertion order, and the
-same (figure, options) pair always produces identical bytes.
+diameter); SVG's points down, so the mapping to pixel space flips y.  The
+canvas is 640 px wide, padded by 8 % of the content span.  There are no
+options beyond `labels`: every number prints with two fraction digits, ties
+rounded half away from zero, and the same figure always gives the same bytes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_UP, localcontext
 
 from .dsl import Figure
 from .geometry import Circle, Line, Point, VesicaError
 from .methods import PolygonResult
 
-__all__ = ["RenderOptions", "EmptyFigure", "render_svg", "render_polygon", "fixed"]
+__all__ = ["EmptyFigure", "render_svg", "render_polygon", "fixed"]
+
+_WIDTH_PX = 640
+_MARGIN = 0.08  # padding as a fraction of the content span
+_MARKER = 3.0 * 1.5  # side of a point's square marker: three stroke widths
+_STROKE = 'stroke="#000000" stroke-width="1.50"'
+_LABEL = 'font-family="monospace" font-size="12" fill="#555555"'
+_DECIMALS = 2
+_SVG_NS = 'xmlns="http://www.w3.org/2000/svg" version="1.1"'
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 class EmptyFigure(VesicaError):
     """Nothing to draw: the figure holds no points and no curves."""
 
 
-@dataclass(frozen=True, slots=True)
-class RenderOptions:
-    width_px: int = 640
-    margin: float = 0.08          # padding as a fraction of the content span
-    stroke_width: float = 1.5
-    label_points: bool = True
-    decimals: int = 2
-
-    def __post_init__(self) -> None:
-        if self.width_px <= 0:
-            raise VesicaError(f"width_px must be positive, got {self.width_px}")
-        if not 0.0 <= self.margin <= 0.4:
-            raise VesicaError(f"margin must be in [0, 0.4], got {self.margin}")
-        if self.stroke_width <= 0:
-            raise VesicaError(f"stroke_width must be positive, got {self.stroke_width}")
-        if not 0 <= self.decimals <= 15:
-            raise VesicaError(f"decimals must be in [0, 15], got {self.decimals}")
-
-
 def fixed(value: float, decimals: int) -> str:
-    """Format with exactly `decimals` fraction digits, ties away from zero."""
+    """Format with exactly `decimals` fraction digits, ties away from zero, never -0."""
     if not math.isfinite(value):
         raise VesicaError(f"cannot format the non-finite value {value}")
-    exponent = Decimal(1).scaleb(-decimals)
-    with localcontext() as ctx:
-        ctx.prec = 340  # any finite double (<= ~1.8e308) plus 15 fraction digits
-        quantized = Decimal(value).quantize(exponent, rounding=ROUND_HALF_UP)
-    if quantized == 0:
-        quantized = quantized.copy_abs()  # never print -0.00
-    return format(quantized, "f")
+    num, den = value.as_integer_ratio()
+    units, rest = divmod(abs(num) * 10**decimals, den)
+    if 2 * rest >= den:
+        units += 1
+    sign = "-" if num < 0 and units else ""
+    digits = str(units).zfill(decimals + 1)
+    cut = len(digits) - decimals
+    return sign + digits[:cut] + ("." + digits[cut:] if decimals else "")
 
 
 class _Canvas:
     """World-to-pixel mapping over a padded bounding box, y flipped."""
 
-    def __init__(self, bounds: tuple[float, float, float, float], opts: RenderOptions):
+    def __init__(self, bounds: tuple[float, float, float, float]):
         x0, y0, x1, y1 = bounds
         span = max(x1 - x0, y1 - y0)
         if span <= 0.0:
             span = 2.0  # single point: give it a unit-radius neighborhood
             x0, x1 = x0 - 1.0, x1 + 1.0
             y0, y1 = y0 - 1.0, y1 + 1.0
-        pad = opts.margin * span
+        pad = _MARGIN * span
         self.x0, self.y0 = x0 - pad, y0 - pad
         self.x1, self.y1 = x1 + pad, y1 + pad
-        self.scale = opts.width_px / (self.x1 - self.x0)
-        self.width = opts.width_px
+        self.scale = _WIDTH_PX / (self.x1 - self.x0)
         self.height = (self.y1 - self.y0) * self.scale
-        self.decimals = opts.decimals
-        # A flat figure drawn with margin 0 keeps its height of 0.
         if not (0.0 < self.scale < math.inf and self.height < math.inf):
             raise VesicaError(
                 f"cannot scale a figure spanning x {bounds[0]!r}..{bounds[2]!r}, "
-                f"y {bounds[1]!r}..{bounds[3]!r} to {opts.width_px} px"
+                f"y {bounds[1]!r}..{bounds[3]!r} to {_WIDTH_PX} px"
             )
 
-    def px(self, x: float) -> str:
-        return fixed((x - self.x0) * self.scale, self.decimals)
+    def xy(self, p: Point) -> tuple[float, float]:
+        return (p.x - self.x0) * self.scale, (self.y1 - p.y) * self.scale
 
-    def py(self, y: float) -> str:
-        return fixed((self.y1 - y) * self.scale, self.decimals)
+    def circle(self, center: Point, radius: float) -> str:
+        cx, cy = self.xy(center)
+        return (
+            f'<circle cx="{fixed(cx, _DECIMALS)}" cy="{fixed(cy, _DECIMALS)}" '
+            f'r="{fixed(radius * self.scale, _DECIMALS)}" fill="none" {_STROKE}/>'
+        )
 
-    def length(self, r: float) -> str:
-        return fixed(r * self.scale, self.decimals)
+    def marker(self, name: str, p: Point, labels: bool) -> list[str]:
+        cx, cy = self.xy(p)
+        x, y, size = cx - _MARKER / 2, cy - _MARKER / 2, fixed(_MARKER, _DECIMALS)
+        out = [f'<rect x="{fixed(x, _DECIMALS)}" y="{fixed(y, _DECIMALS)}" '
+               f'width="{size}" height="{size}" fill="#000000"/>']
+        if labels:
+            x, y = cx + (_MARKER + 2.0), cy - (_MARKER + 2.0)
+            out.append(f'<text x="{fixed(x, _DECIMALS)}" y="{fixed(y, _DECIMALS)}" '
+                       f"{_LABEL}>{name.translate(_XML_ESCAPES)}</text>")
+        return out
+
+    def document(self, body: list[str]) -> str:
+        w, h = fixed(_WIDTH_PX, _DECIMALS), fixed(self.height, _DECIMALS)
+        head = f'<svg {_SVG_NS} width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
+        return f'<?xml version="1.0" encoding="UTF-8"?>\n{head}\n' + "\n".join(body) + "\n</svg>\n"
 
 
 def _bounds_of(points, curves) -> tuple[float, float, float, float]:
@@ -129,93 +132,50 @@ def _clip_line(line: Line, box: tuple[float, float, float, float]):
     )
 
 
-_DOC_OPEN = (
-    '<?xml version="1.0" encoding="UTF-8"?>\n'
-    '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-    'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'
-)
-
-
-def _document(canvas: _Canvas, body: list[str]) -> str:
-    w = fixed(canvas.width, canvas.decimals)
-    h = fixed(canvas.height, canvas.decimals)
-    return _DOC_OPEN.format(w=w, h=h) + "\n".join(body) + "\n</svg>\n"
-
-
-def _marker(name: str, p: Point, canvas: _Canvas, opts: RenderOptions) -> list[str]:
-    size = 3.0 * opts.stroke_width
-    cx = (p.x - canvas.x0) * canvas.scale
-    cy = (canvas.y1 - p.y) * canvas.scale
-    d = canvas.decimals
-    out = [
-        f'<rect x="{fixed(cx - size / 2, d)}" y="{fixed(cy - size / 2, d)}" '
-        f'width="{fixed(size, d)}" height="{fixed(size, d)}" fill="#000000"/>'
-    ]
-    if opts.label_points:
-        offset = size + 2.0
-        out.append(
-            f'<text x="{fixed(cx + offset, d)}" y="{fixed(cy - offset, d)}" '
-            f'font-family="monospace" font-size="12" fill="#555555">{name}</text>'
-        )
-    return out
-
-
-def render_svg(fig: Figure, opts: RenderOptions = RenderOptions()) -> str:
+def render_svg(fig: Figure, labels: bool = True) -> str:
     """Render a figure's curves and points as an SVG document string.
 
     Circles map to circle elements, infinite lines are clipped to the padded
-    view, points become small square markers (optionally labelled).  Measured
-    scalars are not drawn.
+    view, points become small square markers, labelled unless `labels` is
+    false.  Measured scalars are not drawn.
     """
     if not fig.points and not fig.curves:
         raise EmptyFigure("figure has no points or curves to render")
-    canvas = _Canvas(_bounds_of(fig.points.values(), fig.curves.values()), opts)
-    stroke = f'stroke="#000000" stroke-width="{fixed(opts.stroke_width, canvas.decimals)}"'
+    canvas = _Canvas(_bounds_of(fig.points.values(), fig.curves.values()))
     body: list[str] = []
     for curve in fig.curves.values():
         if isinstance(curve, Circle):
-            body.append(
-                f'<circle cx="{canvas.px(curve.center.x)}" cy="{canvas.py(curve.center.y)}" '
-                f'r="{canvas.length(curve.radius)}" fill="none" {stroke}/>'
-            )
-        else:
-            clipped = _clip_line(curve, (canvas.x0, canvas.y0, canvas.x1, canvas.y1))
-            if clipped is None:
-                continue
-            a, b = clipped
-            body.append(
-                f'<line x1="{canvas.px(a.x)}" y1="{canvas.py(a.y)}" '
-                f'x2="{canvas.px(b.x)}" y2="{canvas.py(b.y)}" {stroke}/>'
-            )
+            body.append(canvas.circle(curve.center, curve.radius))
+            continue
+        clipped = _clip_line(curve, (canvas.x0, canvas.y0, canvas.x1, canvas.y1))
+        if clipped is None:
+            continue
+        (ax, ay), (bx, by) = map(canvas.xy, clipped)
+        body.append(
+            f'<line x1="{fixed(ax, _DECIMALS)}" y1="{fixed(ay, _DECIMALS)}" '
+            f'x2="{fixed(bx, _DECIMALS)}" y2="{fixed(by, _DECIMALS)}" {_STROKE}/>'
+        )
     for name, point in fig.points.items():
-        body.extend(_marker(name, point, canvas, opts))
-    return _document(canvas, body)
+        body.extend(canvas.marker(name, point, labels))
+    return canvas.document(body)
 
 
-def render_polygon(result: PolygonResult, opts: RenderOptions = RenderOptions()) -> str:
+def render_polygon(result: PolygonResult, labels: bool = True) -> str:
     """Render an approximate n-gon on its circle, closure gap annotated.
 
     Draws n edges: the final edge steps once more by the step angle, so the
     mismatch against the starting vertex is the visible closure gap.
     """
-    center = Point(0.0, 0.0)
-    canvas = _Canvas((-1.0, -1.0, 1.0, 1.0), opts)
-    d = canvas.decimals
-    stroke = f'stroke="#000000" stroke-width="{fixed(opts.stroke_width, d)}"'
-    body = [
-        f'<circle cx="{canvas.px(center.x)}" cy="{canvas.py(center.y)}" '
-        f'r="{canvas.length(1.0)}" fill="none" {stroke}/>'
-    ]
+    canvas = _Canvas((-1.0, -1.0, 1.0, 1.0))
+    body = [canvas.circle(Point(0.0, 0.0), 1.0)]
     n = len(result.vertices)
     closing = math.cos(n * result.step_angle), math.sin(n * result.step_angle)
     ring = list(result.vertices) + [Point(-closing[0], -closing[1])]
-    points_attr = " ".join(f"{canvas.px(v.x)},{canvas.py(v.y)}" for v in ring)
-    body.append(f'<polyline points="{points_attr}" fill="none" {stroke}/>')
+    pairs = map(canvas.xy, ring)
+    points_attr = " ".join(f"{fixed(x, _DECIMALS)},{fixed(y, _DECIMALS)}" for x, y in pairs)
+    body.append(f'<polyline points="{points_attr}" fill="none" {_STROKE}/>')
     for k, v in enumerate(result.vertices):
-        body.extend(_marker(f"V{k}", v, canvas, opts))
+        body.extend(canvas.marker(f"V{k}", v, labels))
     gap = ("+" if result.closure_gap >= 0 else "") + fixed(result.closure_gap, 6)
-    body.append(
-        f'<text x="{fixed(8.0, d)}" y="{fixed(16.0, d)}" font-family="monospace" '
-        f'font-size="12" fill="#555555">closure gap {gap} rad</text>'
-    )
-    return _document(canvas, body)
+    body.append(f'<text x="8.00" y="16.00" {_LABEL}>closure gap {gap} rad</text>')
+    return canvas.document(body)

@@ -269,6 +269,19 @@ def test_unwritable_output_path_exits_1(capsys):
     assert code == 1 and err != ""
 
 
+def test_os_errors_name_the_file_only_when_there_is_one(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, "polygon", "bion", "9", "--svg", "/nonexistent/dir/x.svg")
+    assert (code, err) == (1, "error: No such file or directory: /nonexistent/dir/x.svg\n")
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    code = main(["table", "bion"])
+    assert (code, capsys.readouterr().err) == (1, "error: Broken pipe\n")
+
+
 # --- check ---------------------------------------------------------------------------
 
 def test_check_nonagon(capsys):

@@ -1,9 +1,48 @@
-import pytest
+import hashlib
+import itertools
+import os
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 
-from vesica.dsl import Figure, evaluate, parse
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corpus import HANDWRITTEN_PROGRAMS
+from vesica.cli import main
+from vesica.dsl import Figure, Num, PointDef, Program, evaluate, format_program, parse
 from vesica.geometry import Circle, Line, Point
-from vesica.methods import Method, bion_program, polygon
-from vesica.svg import EmptyFigure, RenderOptions, fixed, render_polygon, render_svg
+from vesica.methods import Method, bion_program, method_program, polygon
+from vesica.svg import EmptyFigure, fixed, render_polygon, render_svg
+
+
+def _fixed_oracle(value: float, decimals: int) -> str:
+    """The exact decimal rounding `fixed` must reproduce, via `decimal`."""
+    exponent = Decimal(1).scaleb(-decimals)
+    with localcontext() as ctx:
+        ctx.prec = 340  # any finite double (<= ~1.8e308) plus 15 fraction digits
+        quantized = Decimal(value).quantize(exponent, rounding=ROUND_HALF_UP)
+    if quantized == 0:
+        quantized = quantized.copy_abs()  # never print -0.00
+    return format(quantized, "f")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 15))
+def test_fixed_matches_decimal_oracle(value, decimals):
+    assert fixed(value, decimals) == _fixed_oracle(value, decimals)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "value, decimals",
+    [(2.5, 0), (0.125, 2), (0.00125, 4), (0.0, 2), (0.0, 0), (5e-324, 15), (5e-324, 0),
+     (1e300, 2), (1e300, 15), (0.5, 0), (0.004, 2), (0.005, 2), (1.0, 3)],
+)
+def test_fixed_matches_decimal_oracle_on_edge_cases(sign, value, decimals):
+    assert fixed(sign * value, decimals) == _fixed_oracle(sign * value, decimals)
 
 
 def test_fixed_half_away_from_zero():
@@ -43,16 +82,12 @@ def test_bion_construction_has_three_circle_elements():
 
 
 def test_one_point_figure_centers_viewbox():
-    fig = Figure(points={"P": Point(3.0, -2.0)})
-    opts = RenderOptions()
-    doc = render_svg(fig, opts)
+    doc = render_svg(Figure(points={"P": Point(3.0, -2.0)}))
     assert doc.count("<rect ") == 1
-    # unit neighborhood + margin on each side, square canvas
-    assert f'width="{fixed(opts.width_px, opts.decimals)}"' in doc
-    assert f'height="{fixed(opts.width_px, opts.decimals)}"' in doc
-    # marker sits at the canvas center
-    half = opts.width_px / 2 - 1.5 * opts.stroke_width
-    assert f'<rect x="{fixed(half, 2)}" y="{fixed(half, 2)}"' in doc
+    # unit neighborhood + margin on each side, square 640 px canvas
+    assert 'width="640.00" height="640.00" viewBox="0 0 640.00 640.00"' in doc
+    # the 4.5 px marker sits at the canvas center, 320 - 4.5 / 2
+    assert '<rect x="317.75" y="317.75" width="4.50" height="4.50"' in doc
 
 
 def test_empty_figure_rejected():
@@ -77,8 +112,8 @@ def test_unscalable_extent_rejected(a, b):
 
 def test_labels_can_be_disabled():
     fig = Figure(points={"P": Point(0.0, 0.0)})
-    labelled = render_svg(fig, RenderOptions(label_points=True))
-    bare = render_svg(fig, RenderOptions(label_points=False))
+    labelled = render_svg(fig)
+    bare = render_svg(fig, labels=False)
     assert "<text " in labelled
     assert "<text " not in bare
 
@@ -103,7 +138,7 @@ def test_lines_are_clipped_to_view():
 
 def test_y_axis_is_flipped():
     fig = Figure(points={"low": Point(0.0, -1.0), "high": Point(0.0, 1.0)})
-    doc = render_svg(fig, RenderOptions(label_points=False))
+    doc = render_svg(fig, labels=False)
     import re
 
     ys = [float(m) for m in re.findall(r'<rect x="[0-9.-]+" y="([0-9.-]+)"', doc)]
@@ -111,22 +146,23 @@ def test_y_axis_is_flipped():
     assert ys[0] > ys[1]  # world low point prints lower (larger pixel y)
 
 
-def test_decimals_control_printed_precision():
+def test_every_number_prints_two_decimals():
     fig = Figure(points={"P": Point(0.123456, 0.0)}, curves={"c": Circle(Point(0, 0), 1.0)})
-    doc = render_svg(fig, RenderOptions(decimals=5))
+    doc = render_svg(fig)
     import re
 
-    numbers = re.findall(r'\b(?:cx|cy|r|x|y|x1|y1|x2|y2|width|height)="(-?\d+\.\d+)"', doc)
-    assert numbers
-    for number in numbers:
-        assert len(number.split(".")[1]) == 5
+    attrs = re.findall(r'\b(?:cx|cy|r|x|y|x1|y1|x2|y2|width|height)="([^"]*)"', doc)
+    assert len(attrs) == 12  # stroke-width and the marker size included
+    for number in attrs:
+        assert re.fullmatch(r"-?\d+\.\d\d", number), number
 
 
 def test_circle_element_geometry():
+    # the unit circle padded by 0.08 * 2 = 0.16 on each side: 640 px over 2.32 units
     fig = Figure(curves={"c": Circle(Point(0.0, 0.0), 1.0)})
-    opts = RenderOptions(margin=0.0, decimals=1)
-    doc = render_svg(fig, opts)
-    assert '<circle cx="320.0" cy="320.0" r="320.0"' in doc
+    doc = render_svg(fig)
+    assert '<circle cx="320.00" cy="320.00" r="275.86" fill="none" ' in doc
+    assert 'stroke="#000000" stroke-width="1.50"/>' in doc
 
 
 def test_render_polygon_shows_closure_gap():
@@ -143,21 +179,51 @@ def test_render_polygon_exact_case_annotation():
     assert "closure gap +0.000000 rad" in doc or "closure gap -0.000000 rad" in doc
 
 
-def test_render_options_validation():
-    with pytest.raises(ValueError):
-        RenderOptions(width_px=0)
-    with pytest.raises(ValueError):
-        RenderOptions(margin=0.5)
-    with pytest.raises(ValueError):
-        RenderOptions(stroke_width=0.0)
-    with pytest.raises(ValueError):
-        RenderOptions(decimals=16)
-
-
 def test_object_order_follows_insertion_order():
     fig = Figure()
     fig.curves["first"] = Circle(Point(0, 0), 1.0)
     fig.curves["second"] = Line(Point(-1, 0), Point(1, 0))
     fig.points["P"] = Point(0.0, 0.5)
-    doc = render_svg(fig, RenderOptions(label_points=False))
+    doc = render_svg(fig, labels=False)
     assert doc.index("<circle ") < doc.index("<line ") < doc.index("<rect ")
+
+
+def test_labels_are_xml_escaped():
+    fig = evaluate(Program((PointDef("a<b&", Num(0.0), Num(0.0)),)))
+    root = ET.fromstring(render_svg(fig))
+    (text,) = root.iter("{http://www.w3.org/2000/svg}text")
+    assert text.text == "a<b&"
+
+
+# sha256 of every document below and the CLI's stdout beside each file it
+# writes. Any changed byte changes it; re-pin only for an intended change.
+_CORPUS_SHA256 = "9ca408073fd6c26cca43e22f26eb59f74f23bf274a90ff6dc3e1606e9caecb6b"
+
+
+def test_output_bytes_are_pinned(tmp_path, capsys):
+    figures = [evaluate(parse(text)) for text in HANDWRITTEN_PROGRAMS]
+    figures += [evaluate(method_program(m, n)) for m in Method for n in range(5, 201)]
+    ns = itertools.chain(range(4, 400), range(590, 610), (9999, 10000))
+    polygons = [polygon(m, n) for n in ns for m in Method]
+    digest = hashlib.sha256()
+    for labels in (True, False):
+        for fig in figures:
+            digest.update(render_svg(fig, labels=labels).encode())
+        for result in polygons:
+            digest.update(render_polygon(result, labels=labels).encode())
+    euc, out = tmp_path / "c.euc", tmp_path / "out.svg"
+    euc.write_text(format_program(method_program(Method.TEMPIER, 17)))
+    for argv in (["run", str(euc), "--svg", str(out)], ["polygon", "bion", "9", "--svg", str(out)]):
+        for extra in ([], ["--no-labels"]):
+            assert main(argv + extra) == 0
+            digest.update(capsys.readouterr().out.encode())
+            digest.update(out.read_bytes())
+    assert digest.hexdigest() == _CORPUS_SHA256
+
+
+def test_cli_import_leaves_decimal_unloaded():
+    code = "import sys, vesica.cli; print('decimal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "False\n"
