@@ -427,7 +427,7 @@ def format_program(program: Program) -> str:
 
 # --- evaluator ---------------------------------------------------------------
 
-def _lookup(fig: Figure, name: str, want: str):
+def _lookup(fig: Figure, name: str, want: str = "point"):
     """The point (want="point") or curve (want="curve") bound to `name`."""
     try:
         return (fig.points if want == "point" else fig.curves)[name]
@@ -458,54 +458,60 @@ def _select(pick: Selector, points: list[Point], fig: Figure) -> Point:
             return min(points, key=lambda p: p.x)
         case "right":
             return max(points, key=lambda p: p.x)
-    anchor = _lookup(fig, pick.ref, "point")  # "near", the one kind left
+    anchor = _lookup(fig, pick.ref)  # "near", the one kind left
     return min(points, key=lambda p: distance(anchor, p))
+
+
+def _circle_def(fig: Figure, s: CircleDef) -> None:
+    c = _lookup(fig, s.center)
+    fig._bind(fig.curves, s.name, Circle(c, distance(c, _lookup(fig, s.through))))
+
+
+def _circle_rad_def(fig: Figure, s: CircleRadDef) -> None:
+    radius = distance(_lookup(fig, s.rad_from), _lookup(fig, s.rad_to))
+    fig._bind(fig.curves, s.name, Circle(_lookup(fig, s.center), radius))
+
+
+def _intersect(fig: Figure, s: Intersect) -> None:
+    hits = intersect_curves(_lookup(fig, s.a, "curve"), _lookup(fig, s.b, "curve"))
+    if s.pick is not None:
+        fig._bind(fig.points, s.names[0], _select(s.pick, hits, fig))
+        return
+    if len(hits) < 2:
+        raise SelectorEmpty(f"binding {s.names[0]!r} and {s.names[1]!r} needs two "
+                            f"intersection points, got {len(hits)}")
+    fig._bind(fig.points, s.names[0], hits[0])
+    fig._bind(fig.points, s.names[1], hits[1])
+
+
+# Statement type -> handler(fig, stmt); the kernel is reached through module globals.
+_EXEC = {
+    PointDef: lambda fig, s: fig._bind(fig.points, s.name, Point(s.x.value, s.y.value)),
+    LineDef: lambda fig, s: fig._bind(
+        fig.curves, s.name, Line(_lookup(fig, s.a), _lookup(fig, s.b))),
+    CircleDef: _circle_def,
+    CircleRadDef: _circle_rad_def,
+    Intersect: _intersect,
+    Divide: lambda fig, s: fig._bind(fig.points, s.name, divide_segment(
+        _lookup(fig, s.start), _lookup(fig, s.end), s.n, s.k)),
+    MeasureAngle: lambda fig, s: fig._bind(fig.scalars, s.name, measure_angle(
+        _lookup(fig, s.vertex), _lookup(fig, s.p), _lookup(fig, s.q))),
+}
 
 
 def evaluate(program: Program) -> Figure:
     """Execute statements in order against the geometry kernel.
 
     Raises UnknownName / DuplicateName for scoping faults, SelectorEmpty when
-    a construction fails geometrically, and propagates kernel errors
-    (CoincidentCurves, DegenerateAngle, BadIndex) unchanged.
+    a construction fails geometrically and TypeError for a non-statement.  Any
+    VesicaError from the kernel propagates unchanged: CoincidentCurves,
+    DegenerateAngle, BadIndex, GeometryError for circles too large to
+    intersect, and the plain VesicaError of coincident line anchors, a
+    zero-radius circle or a degenerate divide.
     """
     fig = Figure()
     for stmt in program.statements:
-        match stmt:
-            case PointDef(name, x, y):
-                fig._bind(fig.points, name, Point(x.value, y.value))
-            case LineDef(name, a, b):
-                line = Line(_lookup(fig, a, "point"), _lookup(fig, b, "point"))
-                fig._bind(fig.curves, name, line)
-            case CircleDef(name, center, through):
-                c = _lookup(fig, center, "point")
-                fig._bind(fig.curves, name, Circle(c, distance(c, _lookup(fig, through, "point"))))
-            case CircleRadDef(name, center, rad_from, rad_to):
-                radius = distance(_lookup(fig, rad_from, "point"), _lookup(fig, rad_to, "point"))
-                fig._bind(fig.curves, name, Circle(_lookup(fig, center, "point"), radius))
-            case Intersect(names, a, b, pick):
-                hits = intersect_curves(_lookup(fig, a, "curve"), _lookup(fig, b, "curve"))
-                if pick is None:
-                    if len(hits) < 2:
-                        raise SelectorEmpty(
-                            f"binding {names[0]!r} and {names[1]!r} needs two "
-                            f"intersection points, got {len(hits)}"
-                        )
-                    fig._bind(fig.points, names[0], hits[0])
-                    fig._bind(fig.points, names[1], hits[1])
-                else:
-                    fig._bind(fig.points, names[0], _select(pick, hits, fig))
-            case Divide(name, start, end, n, k):
-                fig._bind(
-                    fig.points,
-                    name,
-                    divide_segment(_lookup(fig, start, "point"), _lookup(fig, end, "point"), n, k),
-                )
-            case MeasureAngle(name, vertex, p, q):
-                value = measure_angle(
-                    _lookup(fig, vertex, "point"),
-                    _lookup(fig, p, "point"),
-                    _lookup(fig, q, "point"),
-                )
-                fig._bind(fig.scalars, name, value)
+        if (run := _EXEC.get(type(stmt))) is None:
+            raise TypeError(f"not a statement: {stmt!r}")
+        run(fig, stmt)
     return fig

@@ -178,18 +178,24 @@ _FRAME = (
 )
 
 
+# Each method's statements before and after its Divide, the one that depends on n.
+_PROGRAM_PARTS = {
+    method: (_FRAME + ((PointDef("D", Num(0.0), Num(1.0)),) if spec.reference == "D" else ()), (
+        LineDef("ray", "V", spec.aim),
+        Intersect(("G",), "ray", "main", Selector("upper")),
+        MeasureAngle("theta", "C", spec.reference, "G"),
+    ))
+    for method, spec in _SPECS.items()
+}
+
+
 def method_program(method: Method, n: int) -> Program:
     """DSL program whose ``theta`` constructs ``method_angle(method, n)``: the ray
     from V through the aiming point hits the circle at G, measured from the reference."""
     _require_n(n)
     spec = _SPECS[method]
-    reference = (PointDef("D", Num(0.0), Num(1.0)),) if spec.reference == "D" else ()
-    return Program(_FRAME + reference + (
-        Divide(spec.aim, "B", "A", *spec.division(n)),
-        LineDef("ray", "V", spec.aim),
-        Intersect(("G",), "ray", "main", Selector("upper")),
-        MeasureAngle("theta", "C", spec.reference, "G"),
-    ))
+    head, tail = _PROGRAM_PARTS[method]
+    return Program((*head, Divide(spec.aim, "B", "A", *spec.division(n)), *tail))
 
 
 def bion_program(n: int) -> Program:
@@ -250,10 +256,12 @@ def error_table(method: Method, n_from: int, n_to: int) -> list[ErrorRow]:
     _require_n(n_from)
     if n_to < n_from:
         raise UnsupportedN(f"empty range: n_from={n_from} > n_to={n_to}")
+    _require_n(n_to)  # so every n in the range is valid
+    spec = _SPECS[method]
     rows = []
     for n in range(n_from, n_to + 1):
         exact = TAU / n
-        approx = method_angle(method, n)
+        approx = _closed_form(*spec.division(n), SQRT3, spec.reference)
         error = exact - approx
         rows.append(ErrorRow(n, exact, approx, error, abs(error) / exact))
     return rows
@@ -277,7 +285,8 @@ def best_method(n: int) -> Method | None:
     """
     _require_n(n)
     exact = TAU / n
-    errors = {m: abs(exact - method_angle(m, n)) / exact for m in _SPECS}
+    errors = {m: abs(exact - _closed_form(*spec.division(n), SQRT3, spec.reference)) / exact
+              for m, spec in _SPECS.items()}
     low, high = sorted(errors.values())
     if high - low <= TIE_TOLERANCE:
         return None

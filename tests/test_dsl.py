@@ -1,8 +1,11 @@
+import hashlib
+import itertools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from vesica import dsl, methods
 from vesica.dsl import (
     CircleDef,
     CircleRadDef,
@@ -23,6 +26,7 @@ from vesica.dsl import (
     parse,
 )
 from vesica.geometry import CoincidentCurves, VesicaError
+from vesica.methods import Method, method_program, polygon
 
 from corpus import HANDWRITTEN_PROGRAMS, MALFORMED_PROGRAMS
 
@@ -377,6 +381,112 @@ def test_figure_insertion_order_preserved():
     fig = evaluate(parse(VESICA))
     assert list(fig.points) == ["A", "B", "V"]
     assert list(fig.curves) == ["ca", "cb"]
+
+
+# Scoping, selector and kernel errors, in the order evaluate() meets them.
+_EVAL_ERROR_TEXTS = [
+    "point A = (0, 0)\npoint B = (9, 0)\npoint U = (1, 0)\npoint W = (10, 0)\n"
+    "circle ca = A U\ncircle cb = B W\nintersect X = ca cb pick first",
+    "point A = (0, 0)\npoint B = (9, 0)\npoint U = (1, 0)\npoint W = (10, 0)\n"
+    "circle ca = A U\ncircle cb = B W\nintersect X = ca cb pick near Q",
+    "point C = (0, 0)\npoint R = (1, 0)\ncircle main = C R\n"
+    "point L = (-2, 1)\npoint M = (2, 1)\nline t = L M\nintersect X = t main pick second",
+    "point C = (0, 0)\npoint R = (1, 0)\ncircle main = C R\n"
+    "point L = (-2, 1)\npoint M = (2, 1)\nline t = L M\nintersect X Y = t main",
+    "line L = A B",
+    "point A = (0, 0)\npoint B = (1, 0)\nline L = A B\ncircle c = L A",
+    "point A = (0, 0)\nintersect X = c d",
+    _ABT + "circle c = L A",
+    _ABT + "intersect X = L A",
+    _ABT + "line M = t A",
+    _ABT + "intersect X = L t",
+    _ABT + "circle c = A B\nintersect X = L c pick near Q",
+    _ABT + "circle c = A B\nintersect X X = L c",
+    _ABT + "line A = A B",
+    _ABT + "line N = A A",
+    _ABT + "line A = A A",
+    "point A = (0, 0)\npoint A = (1, 0)",
+    "point A = (0, 0)\npoint B = (1, 0)\npoint C = (0, 1)\nangle A = B A C",
+    "point A = (0, 0)\npoint B = (1, 0)\npoint C = (2, 0)\nline l1 = A B\nline l2 = B C\n"
+    "intersect X = l1 l2",
+    "point A = (1e200, 0)\npoint B = (0, 0)\ncircle c = A B\ncircle d = B A\nintersect X Y = c d",
+    "circle c = X Y",
+    _ABT + "circle c = A Y",
+    _ABT + "circle c = A A",
+    "circle k = X radius Y Z",
+    _ABT + "circle k = X radius A Z",
+    _ABT + "circle k = X radius A B",
+    _ABT + "circle k = A radius B B",
+    "divide M = X Y 3 1",
+    _ABT + "divide M = A Y 3 1",
+    _ABT + "divide M = A A 3 1",
+    _ABT + "divide M = A B 3 4",
+    _ABT + "divide M = A B 0 0",
+    "angle s = X Y Z",
+    _ABT + "angle s = A Y Z",
+    _ABT + "angle s = A B Z",
+    _ABT + "angle s = A A B",
+]
+
+# sha256 over the formatted method programs, every point, curve and scalar
+# evaluate() binds for them and for the handwritten corpus, and the type and
+# message of every error on _EVAL_ERROR_TEXTS.
+_EVAL_SHA256 = "46b88e35863c4ccc4e1e601faa6a06c2856196b483d78afbc83ac4a111cee4e0"
+
+
+def _evaluation_digest() -> str:
+    digest = hashlib.sha256()
+
+    def add(fig):
+        for name, p in fig.points.items():
+            digest.update(f"{name} {p.x!r} {p.y!r}\n".encode())
+        for name, curve in fig.curves.items():
+            digest.update(f"{name} {curve!r}\n".encode())
+        for name, value in fig.scalars.items():
+            digest.update(f"{name} {value!r}\n".encode())
+
+    for m in Method:
+        for n in itertools.chain(range(4, 3001), (10**6, 10**9, 2**40)):
+            program = method_program(m, n)
+            digest.update(format_program(program).encode())
+            add(evaluate(program))
+    for text in HANDWRITTEN_PROGRAMS:
+        add(evaluate(parse(text)))
+    for text in _EVAL_ERROR_TEXTS:
+        try:
+            evaluate(parse(text))
+        except VesicaError as err:
+            digest.update(f"{type(err).__name__}: {err}\n".encode())
+        else:
+            raise AssertionError(f"no error from {text!r}")
+    return digest.hexdigest()
+
+
+def test_evaluation_bits_and_errors_are_pinned():
+    assert _evaluation_digest() == _EVAL_SHA256
+
+
+def test_evaluate_rejects_a_non_statement():
+    with pytest.raises(TypeError, match="^not a statement: 'x'$"):
+        evaluate(Program(("x",)))
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_kernel_is_reached_through_module_globals(monkeypatch, method):
+    counts = [_counting(monkeypatch, dsl, name)
+              for name in ("intersect_curves", "measure_angle", "divide_segment")]
+    rotations = _counting(monkeypatch, methods, "rotate")
+    evaluate(method_program(method, 9))
+    polygon(method, 7)
+    assert [len(calls) for calls in counts] == [2, 1, 1]
+    assert len(rotations) == 7
 
 
 # --- generated-program round trip -------------------------------------------------

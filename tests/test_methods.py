@@ -311,6 +311,22 @@ def test_error_table_range_and_validation():
         error_table(Method.BION, 10, 5)
 
 
+def test_error_table_rejects_an_unrepresentable_n_to_at_once():
+    with pytest.raises(UnsupportedN, match="too large for a float, got a 1025-bit n"):
+        error_table(Method.BION, 4, 2**1024)
+
+
+def test_error_table_and_best_method_match_method_angle_bits():
+    for method in Method:
+        rows = error_table(method, 4, 600)
+        assert [row.approx for row in rows] == [method_angle(method, n) for n in range(4, 601)]
+    for n in range(4, 600):
+        exact = TAU / n
+        errors = {m: abs(exact - method_angle(m, n)) / exact for m in Method}
+        low, high = sorted(errors.values())
+        assert best_method(n) is (None if high - low <= 1e-4 else min(errors, key=errors.get))
+
+
 # --- limits and comparison --------------------------------------------------------
 
 def test_relative_error_limits():
