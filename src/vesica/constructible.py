@@ -2,10 +2,11 @@
 
 A regular n-gon is constructible exactly when n factors as a power of two
 times a product of distinct Fermat primes (primes of the form 2^(2^m) + 1).
-`check` factors n by trial division, so that its verdict carries the
-factorization as evidence, or the first obstruction: a repeated odd prime, or
-an odd prime that is not a Fermat prime.  `constructible_up_to` factors
-nothing: it enumerates the powers of two times products of Fermat primes.
+`check` factors n by trial division, with Miller-Rabin certifying a prime
+cofactor, so that its verdict carries the factorization as evidence, or the
+first obstruction: a repeated odd prime, or an odd prime that is not a Fermat
+prime.  `constructible_up_to` factors nothing: it enumerates the powers of two
+times products of Fermat primes.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ __all__ = [
     "FACTOR_LIMIT",
 ]
 
-# The range of the module.  It bounds `check`, whose trial division would
-# otherwise take minutes, and inputs above it raise _TooLarge, an
-# OverflowError.  The census enumerates and has no such cost; it keeps the
-# bound only so that both functions accept the same range.
+# The range of the module; inputs above it raise _TooLarge, an OverflowError.
+# In `check` two primes near 2^16 cost a full trial-division scan to 2^16, and
+# Miller-Rabin with bases 2, 7 and 61 proves primality only below 4759123141 =
+# 48781 * 97561 (Jaeschke 1993).  The census enumerates and has no such cost;
+# it keeps the bound only so that both functions accept the same range.
 FACTOR_LIMIT = 2 ** 32
+_MILLER_RABIN_BASES = (2, 7, 61)
 
 
 class _TooLarge(VesicaError, OverflowError):
@@ -52,6 +55,7 @@ _FERMAT_PRODUCTS = tuple(
 
 def is_fermat_prime(p: int) -> bool:
     """True iff p is prime and p - 1 is a power of two (and p > 2)."""
+    p = operator.index(p)
     if p < 2:
         raise VesicaError(f"primality is defined for integers >= 2, got {p}")
     if p > _PRIMALITY_LIMIT:
@@ -92,11 +96,30 @@ class ConstructibilityVerdict:
         return f"{self.n}: NOT constructible ({self.obstruction.describe()})"
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: a proof of primality for n < 4759123141."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if a % n and x != 1:  # a % n == 0 only when n is the prime a
+            for _ in range(s):
+                if x == n - 1:
+                    break
+                x = x * x % n
+            else:
+                return False
+    return True
+
+
 def _factor(n: int) -> list[tuple[int, int]]:
-    """Trial-division factorization of n >= 1 as (prime, exponent) pairs,
-    ascending.  After 2 and 3 only p = 6k - 1 and p + 2 = 6k + 1 can be
-    prime, and the scan over them restarts with a smaller bound isqrt(m)
-    whenever a factor is divided out of m."""
+    """Factorization of n >= 1 as (prime, exponent) pairs, ascending.  After
+    2 and 3 only p = 6k - 1 and p + 2 = 6k + 1 can be prime.  Until _is_prime
+    proves the cofactor m prime, a scan over them finds its next factor and
+    restarts with a smaller bound isqrt(m), so a prime n costs no scan and two
+    primes near 2^16 cost a full one."""
     factors = []
     m = n
     divisors, start = (2, 3), 5
@@ -108,6 +131,8 @@ def _factor(n: int) -> list[tuple[int, int]]:
                 e += 1
             if e:
                 factors.append((q, e))
+        if _is_prime(m):
+            break
         for p in range(start, isqrt(m) + 1, 6):
             if not (m % p and m % (p + 2)):
                 break

@@ -24,6 +24,7 @@ that choice.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -85,7 +86,7 @@ class DomainError(VesicaError):
 
 
 def _require_n(n: int) -> None:
-    if n < 4:
+    if operator.index(n) < 4:
         raise UnsupportedN(f"circle division is supported for n >= 4, got n={n}")
     try:
         float(n)  # 2*pi/n is computed in floating point

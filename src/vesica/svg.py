@@ -10,6 +10,7 @@ rounded half away from zero, and the same figure always gives the same bytes.
 from __future__ import annotations
 
 import math
+import operator
 
 from .dsl import Figure
 from .geometry import Circle, Line, Point, VesicaError
@@ -35,6 +36,8 @@ def fixed(value: float, decimals: int) -> str:
     """Format with exactly `decimals` fraction digits, ties away from zero, never -0."""
     if not math.isfinite(value):
         raise VesicaError(f"cannot format the non-finite value {value}")
+    if operator.index(decimals) < 0:
+        raise VesicaError(f"cannot format with {decimals} decimals")
     num, den = value.as_integer_ratio()
     units, rest = divmod(abs(num) * 10**decimals, den)
     if 2 * rest >= den:

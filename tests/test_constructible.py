@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -6,6 +7,7 @@ from vesica.constructible import (
     ConstructibilityVerdict,
     FACTOR_LIMIT,
     _factor,
+    _is_prime,
     check,
     constructible_up_to,
     is_fermat_prime,
@@ -120,6 +122,8 @@ def test_non_integers_raise_type_error(n):
         check(n)
     with pytest.raises(TypeError):
         constructible_up_to(n)
+    with pytest.raises(TypeError):
+        is_fermat_prime(n)
 
 
 def test_constructible_up_to_20_matches_frozen_oracle():
@@ -190,3 +194,56 @@ def test_verdict_soundness_reconstructs_n():
                 product *= p
             assert product == n
             assert list(verdict.odd_primes) == sorted(set(verdict.odd_primes))
+
+
+# --- the Miller-Rabin certificate -------------------------------------------------
+
+
+def _sieve(limit: int) -> bytearray:
+    """is_prime[n] for 0 <= n < limit, by the sieve of Eratosthenes."""
+    is_prime = bytearray([1]) * limit
+    is_prime[:2] = b"\0\0"
+    for p in range(2, isqrt(limit - 1) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return is_prime
+
+
+def test_is_prime_matches_a_sieve_below_a_million():
+    sieve = _sieve(10**6)
+    assert [n for n in range(10**6) if _is_prime(n)] == [n for n in range(10**6) if sieve[n]]
+
+
+@pytest.mark.parametrize("n", [
+    2047, 1373653, 25326001,  # strong pseudoprimes to base 2
+    3215031751,  # strong pseudoprime to bases 2 and 7
+    561, 1105, 1729, 41041, 825265, 321197185,  # Carmichael numbers
+    65519 * 65521, 65521**2,  # the costliest n for the scan
+])
+def test_is_prime_rejects_pseudoprimes_and_carmichael_numbers(n):
+    assert not _is_prime(n)
+
+
+def test_is_prime_accepts_the_largest_primes_below_2_32():
+    assert _is_prime(4294967291)
+    assert _is_prime(4294967279)
+
+
+def test_factor_limit_is_within_the_proven_range_of_the_bases():
+    # 48781 * 97561 is the least composite that passes bases 2, 7 and 61:
+    # raising FACTOR_LIMIT past it needs another base set
+    assert 48781 * 97561 == 4_759_123_141
+    assert _is_prime(4_759_123_141)
+    assert FACTOR_LIMIT < 4_759_123_141
+
+
+def test_factor_matches_naive_oracle_on_large_primes_and_semiprimes():
+    sieve = _sieve(2**16)
+    small = [p for p in range(2**16) if sieve[p]]  # every prime up to sqrt(2^32)
+    primes = [n for n in range(2**32 - 1, 2**32 - 2001, -2) if all(n % p for p in small)][:40]
+    assert len(primes) == 40 and primes[0] == 4294967291
+    near = small[-41:]
+    semiprimes = [p * q for p, q in zip(near, near[1:])]  # two primes near 2^16
+    for n in primes + semiprimes:
+        assert _factor(n) == sorted(_naive_factor(n).items()), n
+    assert [_factor(p) for p in primes] == [[(p, 1)] for p in primes]

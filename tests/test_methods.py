@@ -182,6 +182,22 @@ def test_n_beyond_float_range_is_unsupported():
     assert math.isfinite(bion_angle(2**1023))  # the largest power of two accepted
 
 
+@pytest.mark.parametrize("n", [9.5, 9.0])
+def test_non_integer_n_raises_type_error(n):
+    calls = [
+        lambda: method_angle(Method.BION, n),
+        lambda: bion_angle(n),
+        lambda: best_method(n),
+        lambda: method_program(Method.TEMPIER, n),
+        lambda: polygon(Method.BION, n),
+        lambda: error_table(Method.BION, n, 12),
+        lambda: error_table(Method.BION, 4, n),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
 # --- construction programs -------------------------------------------------------
 
 def test_bion_program_nonagon():

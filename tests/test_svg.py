@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from corpus import HANDWRITTEN_PROGRAMS
 from vesica.cli import main
 from vesica.dsl import Figure, Num, PointDef, Program, evaluate, format_program, parse
-from vesica.geometry import Circle, Line, Point
+from vesica.geometry import Circle, Line, Point, VesicaError
 from vesica.methods import Method, bion_program, method_program, polygon
 from vesica.svg import EmptyFigure, fixed, render_polygon, render_svg
 
@@ -64,6 +64,13 @@ def test_fixed_handles_extreme_magnitudes():
 def test_fixed_rejects_non_finite(value):
     with pytest.raises(ValueError):
         fixed(value, 2)
+
+
+def test_fixed_rejects_negative_or_non_integer_decimals():
+    with pytest.raises(VesicaError, match="^cannot format with -1 decimals$"):
+        fixed(1.25, -1)
+    with pytest.raises(TypeError):
+        fixed(1.25, 2.0)
 
 
 def test_render_is_byte_deterministic():
