@@ -10,7 +10,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import constructible, dsl, methods
@@ -55,6 +54,8 @@ def _cmd_table(ns) -> int:
     columns = ("n", "exact", "approx", "error", "rel_error")
     # --paper rounds to 4 decimals: JSON gets the rounded floats, CSV their text.
     if ns.format == "json":
+        import json  # only this branch needs it: a cold `vesica` skips the import
+
         value = (lambda v: float(fixed(v, 4))) if ns.paper else float
         payload = [
             dict(zip(columns, [row.n] + [value(getattr(row, c)) for c in columns[1:]]))

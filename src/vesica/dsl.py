@@ -38,6 +38,7 @@ from .geometry import (
     Line,
     Point,
     VesicaError,
+    _Record,
     angle as measure_angle,
     distance,
     divide_segment,
@@ -104,95 +105,111 @@ _STATEMENT_KEYWORDS = frozenset({"point", "line", "circle", "intersect", "divide
 
 _KEYWORDS = _STATEMENT_KEYWORDS | _SELECTOR_KINDS | frozenset(_SYMBOLIC) | {"pick", "radius", "both"}
 
+_set = object.__setattr__  # records refuse assignment; their __init__ stores this way
 
-@dataclass(frozen=True, slots=True)
-class Num:
+
+class Num(_Record):
     """A numeric literal; `symbol` records symbolic spelling (pi / sqrt3)."""
 
-    value: float
-    symbol: str | None = None
+    __slots__ = ("value", "symbol")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise VesicaError(f"numeric literal must be finite, got {self.value}")
-        if self.symbol is not None and self.symbol not in _SYMBOLIC:
-            raise VesicaError(f"unknown symbolic literal {self.symbol!r}")
+    def __init__(self, value: float, symbol: str | None = None) -> None:
+        if not math.isfinite(value):
+            raise VesicaError(f"numeric literal must be finite, got {value}")
+        if symbol is not None and symbol not in _SYMBOLIC:
+            raise VesicaError(f"unknown symbolic literal {symbol!r}")
+        _set(self, "value", value)
+        _set(self, "symbol", symbol)
 
 
-@dataclass(frozen=True, slots=True)
-class Selector:
+class Selector(_Record):
     """Disambiguates which intersection point a one-name intersect binds."""
 
-    kind: str
-    ref: str | None = None
+    __slots__ = ("kind", "ref")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _SELECTOR_KINDS:
-            raise VesicaError(f"unknown selector kind {self.kind!r}")
-        if (self.ref is not None) != (self.kind == "near"):
+    def __init__(self, kind: str, ref: str | None = None) -> None:
+        if kind not in _SELECTOR_KINDS:
+            raise VesicaError(f"unknown selector kind {kind!r}")
+        if (ref is not None) != (kind == "near"):
             raise VesicaError("selector `near` takes a point name; others take none")
+        _set(self, "kind", kind)
+        _set(self, "ref", ref)
 
 
-@dataclass(frozen=True, slots=True)
-class PointDef:
-    name: str
-    x: Num
-    y: Num
+class PointDef(_Record):
+    __slots__ = ("name", "x", "y")
+
+    def __init__(self, name: str, x: Num, y: Num) -> None:
+        _set(self, "name", name)
+        _set(self, "x", x)
+        _set(self, "y", y)
 
 
-@dataclass(frozen=True, slots=True)
-class LineDef:
-    name: str
-    a: str
-    b: str
+class LineDef(_Record):
+    __slots__ = ("name", "a", "b")
+
+    def __init__(self, name: str, a: str, b: str) -> None:
+        _set(self, "name", name)
+        _set(self, "a", a)
+        _set(self, "b", b)
 
 
-@dataclass(frozen=True, slots=True)
-class CircleDef:
-    name: str
-    center: str
-    through: str
+class CircleDef(_Record):
+    __slots__ = ("name", "center", "through")
+
+    def __init__(self, name: str, center: str, through: str) -> None:
+        _set(self, "name", name)
+        _set(self, "center", center)
+        _set(self, "through", through)
 
 
-@dataclass(frozen=True, slots=True)
-class CircleRadDef:
+class CircleRadDef(_Record):
     """Circle with the compass opened to the span of two other points."""
 
-    name: str
-    center: str
-    rad_from: str
-    rad_to: str
+    __slots__ = ("name", "center", "rad_from", "rad_to")
+
+    def __init__(self, name: str, center: str, rad_from: str, rad_to: str) -> None:
+        _set(self, "name", name)
+        _set(self, "center", center)
+        _set(self, "rad_from", rad_from)
+        _set(self, "rad_to", rad_to)
 
 
-@dataclass(frozen=True, slots=True)
-class Intersect:
-    names: tuple[str, ...]
-    a: str
-    b: str
-    pick: Selector | None  # None binds both points, for two result names
+class Intersect(_Record):
+    """`pick` None binds both intersection points, for two result names."""
 
-    def __post_init__(self) -> None:
-        if len(self.names) not in (1, 2):
+    __slots__ = ("names", "a", "b", "pick")
+
+    def __init__(self, names: tuple[str, ...], a: str, b: str, pick: Selector | None) -> None:
+        if len(names) not in (1, 2):
             raise VesicaError("intersect binds one or two names")
-        if (len(self.names) == 2) != (self.pick is None):
+        if (len(names) == 2) != (pick is None):
             raise VesicaError("one result name takes a selector; two take none")
+        _set(self, "names", names)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "pick", pick)
 
 
-@dataclass(frozen=True, slots=True)
-class Divide:
-    name: str
-    start: str
-    end: str
-    n: int
-    k: int
+class Divide(_Record):
+    __slots__ = ("name", "start", "end", "n", "k")
+
+    def __init__(self, name: str, start: str, end: str, n: int, k: int) -> None:
+        _set(self, "name", name)
+        _set(self, "start", start)
+        _set(self, "end", end)
+        _set(self, "n", n)
+        _set(self, "k", k)
 
 
-@dataclass(frozen=True, slots=True)
-class MeasureAngle:
-    name: str
-    vertex: str
-    p: str
-    q: str
+class MeasureAngle(_Record):
+    __slots__ = ("name", "vertex", "p", "q")
+
+    def __init__(self, name: str, vertex: str, p: str, q: str) -> None:
+        _set(self, "name", name)
+        _set(self, "vertex", vertex)
+        _set(self, "p", p)
+        _set(self, "q", q)
 
 
 Statement = (
@@ -200,13 +217,13 @@ Statement = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Program:
-    statements: tuple[Statement, ...]
+class Program(_Record):
+    __slots__ = ("statements",)
 
-    def __post_init__(self) -> None:
-        if not self.statements:
+    def __init__(self, statements: tuple[Statement, ...]) -> None:
+        if not statements:
             raise VesicaError("a program holds at least one statement")
+        _set(self, "statements", statements)
 
 
 @dataclass(slots=True)

@@ -11,7 +11,6 @@ calls, so intersection lists can be indexed deterministically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # Geometric coincidence threshold: below this, coordinates/lengths are
 # treated as equal.  Every comparison in the kernel reads it.
@@ -39,36 +38,84 @@ class BadIndex(GeometryError):
     """Segment division index outside [0, n] (or n < 1)."""
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
-    x: float
-    y: float
+class _Record:
+    """Immutable value whose fields are the subclass's __slots__, in order.
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise VesicaError(f"point coordinates must be finite, got ({self.x}, {self.y})")
+    Behaves as a frozen dataclass: __eq__ field-wise and only within one
+    class, __hash__ of the field tuple, a ``Name(field=value, ...)`` repr,
+    positional match patterns, AttributeError on assigning or deleting a
+    field.  Each subclass's __init__ validates its arguments and stores them
+    through object.__setattr__ or the slot descriptors.  A dataclass would
+    cost about a millisecond of import per class to generate its methods.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls.__match_args__ = cls.__slots__
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):  # pickle and copy rebuild through the constructor
+        return self.__class__, self._fields()
 
 
-@dataclass(frozen=True, slots=True)
-class Line:
+class Point(_Record):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise VesicaError(f"point coordinates must be finite, got ({x}, {y})")
+        _set_x(self, x)
+        _set_y(self, y)
+
+
+class Line(_Record):
     """Infinite line through two distinct anchor points."""
 
-    p: Point
-    q: Point
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if distance(self.p, self.q) <= EPS_GEOM:
-            raise VesicaError(f"line anchors coincide: {self.p} and {self.q}")
+    def __init__(self, p: Point, q: Point) -> None:
+        if distance(p, q) <= EPS_GEOM:
+            raise VesicaError(f"line anchors coincide: {p} and {q}")
+        _set_p(self, p)
+        _set_q(self, q)
 
 
-@dataclass(frozen=True, slots=True)
-class Circle:
-    center: Point
-    radius: float
+class Circle(_Record):
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.radius) or self.radius <= EPS_GEOM:
-            raise VesicaError(f"circle radius must be positive, got {self.radius}")
+    def __init__(self, center: Point, radius: float) -> None:
+        if not math.isfinite(radius) or radius <= EPS_GEOM:
+            raise VesicaError(f"circle radius must be positive, got {radius}")
+        _set_center(self, center)
+        _set_radius(self, radius)
+
+
+# Slot setters bound once: the kernel builds a Point per intersection.
+_set_x, _set_y = Point.x.__set__, Point.y.__set__
+_set_p, _set_q = Line.p.__set__, Line.q.__set__
+_set_center, _set_radius = Circle.center.__set__, Circle.radius.__set__
 
 
 Curve = Line | Circle

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .geometry import Point, VesicaError, rotate
+from .geometry import Point, VesicaError, _Record, rotate
 from .dsl import (
     CircleDef,
     Divide,
@@ -67,6 +67,8 @@ __all__ = [
 SQRT3 = math.sqrt(3.0)
 TAU = 2.0 * math.pi
 
+_set = object.__setattr__  # records refuse assignment; their __init__ stores this way
+
 # Two methods tie when their absolute relative errors agree this closely.
 TIE_TOLERANCE = 1e-4
 
@@ -99,13 +101,17 @@ def _require_base(base_distance: float) -> None:
         raise VesicaError(f"base distance must be positive, got {base_distance}")
 
 
-@dataclass(frozen=True, slots=True)
-class _MethodSpec:
-    """What one method's closed form, program, polygon and limit derive from."""
+class _MethodSpec(_Record):
+    """What one method's closed form, program, polygon and limit derive from:
+    the name of the aiming point on BA, n -> (parts, index) of BA counted
+    from B, and the point (B or D) theta is measured from."""
 
-    aim: str                                    # name of the aiming point on BA
-    division: Callable[[int], tuple[int, int]]  # n -> (parts, index) of BA, from B
-    reference: str                              # theta is measured from B or D
+    __slots__ = ("aim", "division", "reference")
+
+    def __init__(self, aim: str, division: Callable[[int], tuple[int, int]], reference: str) -> None:
+        _set(self, "aim", aim)
+        _set(self, "division", division)
+        _set(self, "reference", reference)
 
 
 _SPECS = {
@@ -222,21 +228,26 @@ class ErrorRow:
     rel_error: float  # |exact - approx| / exact
 
 
-@dataclass(frozen=True, slots=True)
-class PolygonResult:
-    """n-gon laid out by stepping the approximate angle around the circle."""
+class PolygonResult(_Record):
+    """n-gon laid out by stepping the approximate angle around the circle;
+    closure_gap is n * step_angle - 2*pi, signed."""
 
-    vertices: tuple[Point, ...]
-    step_angle: float
-    closure_gap: float  # n * step_angle - 2*pi, signed
+    __slots__ = ("vertices", "step_angle", "closure_gap")
+
+    def __init__(self, vertices: tuple[Point, ...], step_angle: float, closure_gap: float) -> None:
+        _set(self, "vertices", vertices)
+        _set(self, "step_angle", step_angle)
+        _set(self, "closure_gap", closure_gap)
 
 
-@dataclass(frozen=True, slots=True)
-class RectificationResult:
+class RectificationResult(_Record):
     """Implied value of pi when a base point rectifies the quadrant."""
 
-    base_distance: float
-    implied_pi: float
+    __slots__ = ("base_distance", "implied_pi")
+
+    def __init__(self, base_distance: float, implied_pi: float) -> None:
+        _set(self, "base_distance", base_distance)
+        _set(self, "implied_pi", implied_pi)
 
 
 def polygon(method: Method, n: int) -> PolygonResult:

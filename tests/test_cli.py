@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -118,6 +121,14 @@ def test_table_json(capsys):
     rows = json.loads(out)
     assert len(rows) == 17
     assert rows[0] == {"n": 4, "exact": 1.5708, "approx": 1.5708, "error": 0.0, "rel_error": 0.0}
+
+
+def test_cli_import_leaves_json_and_decimal_unloaded():
+    code = "import sys, vesica.cli; print(sorted({'decimal', 'json'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_table_rejects_bad_range(capsys):

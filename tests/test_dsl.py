@@ -91,6 +91,12 @@ def test_parse_symbolic_literals():
     assert stmt.y == Num(math.pi, "pi")
 
 
+def test_statement_equality_is_type_strict():
+    assert LineDef("L", "A", "B") != CircleDef("L", "A", "B")
+    assert CircleRadDef("c", "A", "B", "C") != MeasureAngle("c", "A", "B", "C")
+    assert len({LineDef("L", "A", "B"), CircleDef("L", "A", "B"), LineDef("L", "A", "B")}) == 2
+
+
 def test_num_rejects_non_finite():
     with pytest.raises(ValueError):
         Num(float("inf"))

@@ -1,11 +1,15 @@
+import copy
+import dataclasses
 import importlib
 import math
+import pickle
 import pkgutil
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 import vesica
+from vesica import dsl, methods
 from vesica.geometry import (
     BadIndex,
     Circle,
@@ -35,6 +39,135 @@ def test_every_exported_exception_is_a_vesica_error():
     errors = {x for x in exported if isinstance(x, type) and issubclass(x, BaseException)}
     assert {vesica.GeometryError, vesica.ParseError, vesica.EmptyFigure} <= errors
     assert sorted(e.__name__ for e in errors if not issubclass(e, VesicaError)) == []
+
+
+def test_only_the_result_types_bench_copies_remain_dataclasses():
+    exported = [getattr(vesica, name) for name in dir(vesica) if not name.startswith("_")]
+    for info in pkgutil.iter_modules(vesica.__path__):
+        module = importlib.import_module(f"vesica.{info.name}")
+        exported += [getattr(module, name) for name in getattr(module, "__all__", ())]
+    exported.append(methods._MethodSpec)
+    classes = {x for x in exported if isinstance(x, type)}
+    assert {c.__name__ for c in classes if dataclasses.is_dataclass(c)} == {
+        "ErrorRow", "Figure", "ConstructibilityVerdict", "Obstruction"}
+
+
+# --- value records ----------------------------------------------------------------
+
+_P, _Q = Point(1.0, 2.0), Point(-0.5, 0.0)
+
+# (value, its repr, its fields in order): the reprs are those of the frozen
+# dataclasses these records replaced.
+RECORDS = [
+    (_P, "Point(x=1.0, y=2.0)", ("x", "y")),
+    (Line(_P, _Q), "Line(p=Point(x=1.0, y=2.0), q=Point(x=-0.5, y=0.0))", ("p", "q")),
+    (Circle(_Q, 1.5), "Circle(center=Point(x=-0.5, y=0.0), radius=1.5)", ("center", "radius")),
+    (dsl.Num(math.pi, "pi"), "Num(value=3.141592653589793, symbol='pi')", ("value", "symbol")),
+    (dsl.Selector("near", "A"), "Selector(kind='near', ref='A')", ("kind", "ref")),
+    (dsl.PointDef("A", dsl.Num(0.0), dsl.Num(1.0)),
+     "PointDef(name='A', x=Num(value=0.0, symbol=None), y=Num(value=1.0, symbol=None))",
+     ("name", "x", "y")),
+    (dsl.LineDef("L", "A", "B"), "LineDef(name='L', a='A', b='B')", ("name", "a", "b")),
+    (dsl.CircleDef("c", "A", "B"), "CircleDef(name='c', center='A', through='B')",
+     ("name", "center", "through")),
+    (dsl.CircleRadDef("c", "A", "B", "C"),
+     "CircleRadDef(name='c', center='A', rad_from='B', rad_to='C')",
+     ("name", "center", "rad_from", "rad_to")),
+    (dsl.Intersect(("G",), "a", "b", dsl.Selector("upper")),
+     "Intersect(names=('G',), a='a', b='b', pick=Selector(kind='upper', ref=None))",
+     ("names", "a", "b", "pick")),
+    (dsl.Divide("F", "B", "A", 5, 2), "Divide(name='F', start='B', end='A', n=5, k=2)",
+     ("name", "start", "end", "n", "k")),
+    (dsl.MeasureAngle("t", "C", "B", "G"), "MeasureAngle(name='t', vertex='C', p='B', q='G')",
+     ("name", "vertex", "p", "q")),
+    (dsl.Program((dsl.LineDef("L", "A", "B"),)),
+     "Program(statements=(LineDef(name='L', a='A', b='B'),))", ("statements",)),
+    (methods._MethodSpec("F", divmod, "B"),
+     "_MethodSpec(aim='F', division=<built-in function divmod>, reference='B')",
+     ("aim", "division", "reference")),
+    (methods.PolygonResult((_Q,), 1.5, -0.25),
+     "PolygonResult(vertices=(Point(x=-0.5, y=0.0),), step_angle=1.5, closure_gap=-0.25)",
+     ("vertices", "step_angle", "closure_gap")),
+    (methods.RectificationResult(2.0, 3.0),
+     "RectificationResult(base_distance=2.0, implied_pi=3.0)", ("base_distance", "implied_pi")),
+]
+
+records = pytest.mark.parametrize(
+    "value, text, names", RECORDS, ids=[type(value).__name__ for value, _, _ in RECORDS])
+
+
+@records
+def test_record_repr_is_the_dataclass_format(value, text, names):
+    assert repr(value) == str(value) == text
+
+
+@records
+def test_record_match_args_are_the_fields_in_order(value, text, names):
+    assert type(value).__match_args__ == names
+
+
+@records
+def test_record_equality_and_hash_follow_the_fields(value, text, names):
+    fields = tuple(getattr(value, name) for name in names)
+    twin = type(value)(*fields)
+    assert twin == value and twin is not value
+    assert hash(value) == hash(twin) == hash(fields)
+    assert value != fields and value.__eq__(fields) is NotImplemented
+    assert value != object()
+
+
+@records
+def test_record_keyword_construction(value, text, names):
+    assert type(value)(**{name: getattr(value, name) for name in names}) == value
+
+
+@records
+def test_record_fields_cannot_be_assigned_or_deleted(value, text, names):
+    for name in names:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@records
+def test_record_pickle_and_copy_round_trip(value, text, names):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol)) == value
+    for clone in (copy.copy(value), copy.deepcopy(value)):
+        assert type(clone) is type(value) and clone == value
+
+
+def test_record_defaults():
+    assert dsl.Num(1.0) == dsl.Num(value=1.0, symbol=None)
+    assert dsl.Selector("first") == dsl.Selector(kind="first", ref=None)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Point(math.nan, 0.0), "point coordinates must be finite, got (nan, 0.0)"),
+    (lambda: Point(0.0, math.inf), "point coordinates must be finite, got (0.0, inf)"),
+    (lambda: Line(_P, Point(1.0, 2.0)),
+     "line anchors coincide: Point(x=1.0, y=2.0) and Point(x=1.0, y=2.0)"),
+    (lambda: Circle(_P, 0.0), "circle radius must be positive, got 0.0"),
+    (lambda: Circle(_P, math.inf), "circle radius must be positive, got inf"),
+    (lambda: dsl.Num(math.inf), "numeric literal must be finite, got inf"),
+    (lambda: dsl.Num(1.0, "e"), "unknown symbolic literal 'e'"),
+    (lambda: dsl.Selector("top"), "unknown selector kind 'top'"),
+    (lambda: dsl.Selector("near"), "selector `near` takes a point name; others take none"),
+    (lambda: dsl.Selector("first", "A"), "selector `near` takes a point name; others take none"),
+    (lambda: dsl.Intersect(("a", "b", "c"), "x", "y", None), "intersect binds one or two names"),
+    (lambda: dsl.Intersect(("a", "b"), "x", "y", dsl.Selector("first")),
+     "one result name takes a selector; two take none"),
+    (lambda: dsl.Program(()), "a program holds at least one statement"),
+])
+def test_constructor_checks_pin_full_message(build, message):
+    with pytest.raises(VesicaError) as info:
+        build()
+    assert type(info.value) is VesicaError and str(info.value) == message
 
 
 # --- construction validation --------------------------------------------------
