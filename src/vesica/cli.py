@@ -134,17 +134,18 @@ def _write_svg(path: str, document: str) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vesica", description="Approximate circle division toolkit")
+    method_names = [method.value for method in Method]
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("angle", help="one method angle vs the exact 2*pi/n")
-    p.add_argument("method", choices=["bion", "tempier"])
+    p.add_argument("method", choices=method_names)
     p.add_argument("n", type=int)
     p.add_argument("--base", type=float, default=None,
                    help="base point distance below center (tempier only)")
     p.set_defaults(func=_cmd_angle)
 
     p = sub.add_parser("table", help="error table over a range of n")
-    p.add_argument("method", choices=["bion", "tempier"])
+    p.add_argument("method", choices=method_names)
     p.add_argument("--from", dest="start", type=int, default=4)
     p.add_argument("--to", dest="stop", type=int, default=20)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -153,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("construct", help="emit the construction DSL program")
-    p.add_argument("method", choices=["bion", "tempier"])
+    p.add_argument("method", choices=method_names)
     p.add_argument("n", type=int)
     p.add_argument("-o", "--output", default=None, help="write to a .euc file")
     p.set_defaults(func=_cmd_construct)
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("polygon", help="render the stepped n-gon as SVG")
-    p.add_argument("method", choices=["bion", "tempier"])
+    p.add_argument("method", choices=method_names)
     p.add_argument("n", type=int)
     p.add_argument("--svg", required=True)
     p.add_argument("--no-labels", dest="no_labels", action="store_true")

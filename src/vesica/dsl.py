@@ -105,7 +105,7 @@ _STATEMENT_KEYWORDS = frozenset({"point", "line", "circle", "intersect", "divide
 
 _KEYWORDS = _STATEMENT_KEYWORDS | _SELECTOR_KINDS | frozenset(_SYMBOLIC) | {"pick", "radius", "both"}
 
-_set = object.__setattr__  # records refuse assignment; their __init__ stores this way
+_set = object.__setattr__  # records refuse assignment; the checking ones store this way
 
 
 class Num(_Record):
@@ -139,40 +139,19 @@ class Selector(_Record):
 class PointDef(_Record):
     __slots__ = ("name", "x", "y")
 
-    def __init__(self, name: str, x: Num, y: Num) -> None:
-        _set(self, "name", name)
-        _set(self, "x", x)
-        _set(self, "y", y)
-
 
 class LineDef(_Record):
     __slots__ = ("name", "a", "b")
 
-    def __init__(self, name: str, a: str, b: str) -> None:
-        _set(self, "name", name)
-        _set(self, "a", a)
-        _set(self, "b", b)
-
 
 class CircleDef(_Record):
     __slots__ = ("name", "center", "through")
-
-    def __init__(self, name: str, center: str, through: str) -> None:
-        _set(self, "name", name)
-        _set(self, "center", center)
-        _set(self, "through", through)
 
 
 class CircleRadDef(_Record):
     """Circle with the compass opened to the span of two other points."""
 
     __slots__ = ("name", "center", "rad_from", "rad_to")
-
-    def __init__(self, name: str, center: str, rad_from: str, rad_to: str) -> None:
-        _set(self, "name", name)
-        _set(self, "center", center)
-        _set(self, "rad_from", rad_from)
-        _set(self, "rad_to", rad_to)
 
 
 class Intersect(_Record):
@@ -194,22 +173,9 @@ class Intersect(_Record):
 class Divide(_Record):
     __slots__ = ("name", "start", "end", "n", "k")
 
-    def __init__(self, name: str, start: str, end: str, n: int, k: int) -> None:
-        _set(self, "name", name)
-        _set(self, "start", start)
-        _set(self, "end", end)
-        _set(self, "n", n)
-        _set(self, "k", k)
-
 
 class MeasureAngle(_Record):
     __slots__ = ("name", "vertex", "p", "q")
-
-    def __init__(self, name: str, vertex: str, p: str, q: str) -> None:
-        _set(self, "name", name)
-        _set(self, "vertex", vertex)
-        _set(self, "p", p)
-        _set(self, "q", q)
 
 
 Statement = (
@@ -314,10 +280,11 @@ class _Cursor:
 
     def int(self) -> int:
         column = self.tokens[self.pos][2]
+        text = self.tokens[self.pos + self.at("sym", "-")][1]  # float() rounds above 2**53
         num = self.num()
         if num.symbol is not None or num.value != int(num.value):
             raise ParseError(self.lineno, column, "expected an integer")
-        return int(num.value)
+        return (-int(text) if num.value < 0 else int(text)) if text.isdigit() else int(num.value)
 
     def selector(self) -> Selector:
         kind, text, _ = self.tokens[self.pos]

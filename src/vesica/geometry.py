@@ -41,19 +41,28 @@ class BadIndex(GeometryError):
 class _Record:
     """Immutable value whose fields are the subclass's __slots__, in order.
 
-    Behaves as a frozen dataclass: __eq__ field-wise and only within one
-    class, __hash__ of the field tuple, a ``Name(field=value, ...)`` repr,
-    positional match patterns, AttributeError on assigning or deleting a
-    field.  Each subclass's __init__ validates its arguments and stores them
-    through object.__setattr__ or the slot descriptors.  A dataclass would
-    cost about a millisecond of import per class to generate its methods.
+    Behaves as a frozen dataclass: one constructor takes each field once, by
+    position or keyword; __eq__ is field-wise within one class, __hash__ that
+    of the field tuple; the repr is ``Name(field=value, ...)``; fields match
+    by position and are read-only.  Num, Selector, Intersect and Program
+    write their own __init__ to check arguments first; so do Point, Line and
+    Circle, which store through bound setters as the kernel builds thousands.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
         cls.__match_args__ = cls.__slots__
+        cls._stores = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):
+            args += tuple([kwargs.pop(name) for name in fields[len(args):] if name in kwargs])
+            if kwargs or len(args) != len(fields):
+                raise TypeError(f"{type(self).__qualname__}() takes {', '.join(fields)} once each")
+        for store, value in zip(self._stores, args):
+            store(self, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -112,10 +121,10 @@ class Circle(_Record):
         _set_radius(self, radius)
 
 
-# Slot setters bound once: the kernel builds a Point per intersection.
-_set_x, _set_y = Point.x.__set__, Point.y.__set__
-_set_p, _set_q = Line.p.__set__, Line.q.__set__
-_set_center, _set_radius = Circle.center.__set__, Circle.radius.__set__
+# Bound setters as globals: the kernel builds a Point per intersection.
+_set_x, _set_y = Point._stores
+_set_p, _set_q = Line._stores
+_set_center, _set_radius = Circle._stores
 
 
 Curve = Line | Circle

@@ -27,7 +27,6 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .geometry import Point, VesicaError, _Record, rotate
 from .dsl import (
@@ -67,8 +66,6 @@ __all__ = [
 SQRT3 = math.sqrt(3.0)
 TAU = 2.0 * math.pi
 
-_set = object.__setattr__  # records refuse assignment; their __init__ stores this way
-
 # Two methods tie when their absolute relative errors agree this closely.
 TIE_TOLERANCE = 1e-4
 
@@ -107,11 +104,6 @@ class _MethodSpec(_Record):
     from B, and the point (B or D) theta is measured from."""
 
     __slots__ = ("aim", "division", "reference")
-
-    def __init__(self, aim: str, division: Callable[[int], tuple[int, int]], reference: str) -> None:
-        _set(self, "aim", aim)
-        _set(self, "division", division)
-        _set(self, "reference", reference)
 
 
 _SPECS = {
@@ -234,20 +226,11 @@ class PolygonResult(_Record):
 
     __slots__ = ("vertices", "step_angle", "closure_gap")
 
-    def __init__(self, vertices: tuple[Point, ...], step_angle: float, closure_gap: float) -> None:
-        _set(self, "vertices", vertices)
-        _set(self, "step_angle", step_angle)
-        _set(self, "closure_gap", closure_gap)
-
 
 class RectificationResult(_Record):
     """Implied value of pi when a base point rectifies the quadrant."""
 
     __slots__ = ("base_distance", "implied_pi")
-
-    def __init__(self, base_distance: float, implied_pi: float) -> None:
-        _set(self, "base_distance", base_distance)
-        _set(self, "implied_pi", implied_pi)
 
 
 def polygon(method: Method, n: int) -> PolygonResult:

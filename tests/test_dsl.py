@@ -184,6 +184,13 @@ def test_format_divide():
     assert format_program(parse("divide  F = A  B  9  2")) == "divide F = A B 9 2\n"
 
 
+@pytest.mark.parametrize("n", [2**53 + 1, 10**17, 2**62])
+@pytest.mark.parametrize("method", list(Method))
+def test_method_program_roundtrips_at_large_n(method, n):
+    program = method_program(method, n)
+    assert parse(format_program(program)) == program
+
+
 def test_format_is_idempotent_on_corpus():
     for text in HANDWRITTEN_PROGRAMS:
         once = format_program(parse(text))

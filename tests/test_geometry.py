@@ -142,6 +142,19 @@ def test_record_pickle_and_copy_round_trip(value, text, names):
         assert type(clone) is type(value) and clone == value
 
 
+@records
+def test_record_constructor_rejects_bad_arguments(value, text, names):
+    cls, fields = type(value), [getattr(value, name) for name in names]
+    for args, kwargs in [
+        ((), dict(zip(names[1:], fields[1:]))),  # the first field missing
+        ((*fields, fields[0]), {}),              # one argument too many
+        (fields, {names[0]: fields[0]}),         # the first field twice
+        (fields, {"bogus": None}),               # an unknown field
+    ]:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
 def test_record_defaults():
     assert dsl.Num(1.0) == dsl.Num(value=1.0, symbol=None)
     assert dsl.Selector("first") == dsl.Selector(kind="first", ref=None)
