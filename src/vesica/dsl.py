@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from operator import is_
 
 from .geometry import (
     Circle,
@@ -483,8 +484,23 @@ _EXEC = {
 }
 
 
+# Evaluated program heads, (statements, figure): written only at import by
+# _register_head, and copied, never handed out, by evaluate.
+_HEADS: list[tuple[tuple[Statement, ...], Figure]] = []
+
+
+def _register_head(statements: tuple[Statement, ...]) -> None:
+    """Evaluate `statements` once, so that programs starting with these very
+    statement objects resume from a copy of the figure."""
+    _HEADS.append((statements, evaluate(Program(statements))))
+
+
 def evaluate(program: Program) -> Figure:
     """Execute statements in order against the geometry kernel.
+
+    A program whose first statements are the very objects of a registered
+    head (identity, not equality) resumes from a copy of that head's figure
+    and runs only the rest; the result is the same either way.
 
     Raises UnknownName / DuplicateName for scoping faults, SelectorEmpty when
     a construction fails geometrically and TypeError for a non-statement.  Any
@@ -493,8 +509,15 @@ def evaluate(program: Program) -> Figure:
     intersect, and the plain VesicaError of coincident line anchors, a
     zero-radius circle or a degenerate divide.
     """
-    fig = Figure()
-    for stmt in program.statements:
+    statements = program.statements
+    for head, done in _HEADS:
+        if len(statements) >= len(head) and all(map(is_, statements, head)):
+            fig = Figure(dict(done.points), dict(done.curves), dict(done.scalars))
+            statements = statements[len(head):]
+            break
+    else:
+        fig = Figure()
+    for stmt in statements:
         if (run := _EXEC.get(type(stmt))) is None:
             raise TypeError(f"not a statement: {stmt!r}")
         run(fig, stmt)

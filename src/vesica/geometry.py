@@ -61,8 +61,10 @@ class _Record:
             args += tuple([kwargs.pop(name) for name in fields[len(args):] if name in kwargs])
             if kwargs or len(args) != len(fields):
                 raise TypeError(f"{type(self).__qualname__}() takes {', '.join(fields)} once each")
-        for store, value in zip(self._stores, args):
-            store(self, value)
+        stores, i = self._stores, 0
+        for value in args:  # indexed by hand: faster than zip or enumerate here
+            stores[i](self, value)
+            i += 1
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

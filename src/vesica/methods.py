@@ -39,6 +39,7 @@ from .dsl import (
     PointDef,
     Program,
     Selector,
+    _register_head,
 )
 
 __all__ = [
@@ -165,7 +166,9 @@ def tempier_angle(n: int, base_distance: float = SQRT3) -> float:
 # --- construction programs ----------------------------------------------------
 
 # Canonical frame: unit circle about C, diameter B(-1,0) -- A(1,0),
-# vesica arcs about both endpoints with radius |BA|, V picked below.
+# vesica arcs about both endpoints with radius |BA|, V picked below.  The
+# kernel evaluates it once, at import; every method program starts with these
+# statement objects, so evaluate resumes it from a copy of that figure.
 _FRAME = (
     PointDef("C", Num(0.0), Num(0.0)),
     PointDef("B", Num(-1.0), Num(0.0)),
@@ -175,6 +178,7 @@ _FRAME = (
     CircleDef("arcA", "A", "B"),
     Intersect(("V",), "arcB", "arcA", Selector("lower")),
 )
+_register_head(_FRAME)
 
 
 # Each method's statements before and after its Divide, the one that depends on n.

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -496,10 +497,66 @@ def test_kernel_is_reached_through_module_globals(monkeypatch, method):
     counts = [_counting(monkeypatch, dsl, name)
               for name in ("intersect_curves", "measure_angle", "divide_segment")]
     rotations = _counting(monkeypatch, methods, "rotate")
-    evaluate(method_program(method, 9))
+    evaluate(method_program(method, 9))  # resumes after the frame's intersect
     polygon(method, 7)
-    assert [len(calls) for calls in counts] == [2, 1, 1]
+    assert [len(calls) for calls in counts] == [1, 1, 1]
     assert len(rotations) == 7
+    for calls in counts:
+        calls.clear()
+    evaluate(parse(format_program(method_program(method, 9))))  # equal, not identical
+    assert [len(calls) for calls in counts] == [2, 1, 1]
+
+
+# --- resuming from the evaluated frame ------------------------------------------
+
+@pytest.mark.parametrize("method", list(Method))
+def test_resumed_figures_share_no_dict(method):
+    program = method_program(method, 9)
+    first, second = evaluate(program), evaluate(program)
+    for name in ("points", "curves", "scalars"):
+        assert getattr(first, name) is not getattr(second, name)
+    first.points.clear()
+    first.curves["V"] = None
+    first.scalars["theta"] = 0.0
+    again = evaluate(program)
+    assert (again.points, again.curves, again.scalars) == \
+        (second.points, second.curves, second.scalars)
+
+
+def test_program_shorter_than_the_frame_runs_in_full():
+    fig = evaluate(Program(methods._FRAME[:3]))
+    assert list(fig.points) == ["C", "B", "A"]
+    assert fig.curves == {} and fig.scalars == {}
+
+
+def test_rebinding_a_frame_name_reports_like_its_parsed_copy():
+    program = Program(methods._FRAME + (PointDef("V", Num(0.0), Num(0.0)),))
+    with pytest.raises(DuplicateName) as resumed:
+        evaluate(program)
+    with pytest.raises(DuplicateName) as parsed:
+        evaluate(parse(format_program(program)))
+    assert str(resumed.value) == str(parsed.value) == "name 'V' is already defined"
+
+
+def test_equal_but_not_identical_frame_keeps_its_bits():
+    text = format_program(Program(methods._FRAME)).replace(
+        "point C = (0, 0)", "point C = (-0, -0)")
+    program = parse(text)
+    assert program.statements == methods._FRAME  # Num(-0.0) == Num(0.0)
+    c = evaluate(program).points["C"]
+    assert math.copysign(1.0, c.x) == math.copysign(1.0, c.y) == -1.0
+
+
+def test_resumed_theta_is_bit_identical_across_threads():
+    def thetas():
+        return [evaluate(method_program(m, n)).scalars["theta"].hex()
+                for m in Method for n in range(4, 301)]
+
+    full = [evaluate(parse(format_program(method_program(m, n)))).scalars["theta"].hex()
+            for m in Method for n in range(4, 301)]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        runs = [pool.submit(thetas) for _ in range(4)]
+        assert all(run.result() == full for run in runs)
 
 
 # --- generated-program round trip -------------------------------------------------
