@@ -73,8 +73,7 @@ def _cmd_table(ns) -> int:
 def _cmd_construct(ns) -> int:
     text = dsl.format_program(methods.method_program(Method(ns.method), ns.n))
     if ns.output:
-        with open(ns.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        _write_text(ns.output, text)
     else:
         print(text, end="")
     return 0
@@ -95,7 +94,7 @@ def _cmd_run(ns) -> int:
     for name, value in figure.scalars.items():
         print(f"{name} = {value!r}")
     if ns.svg:
-        _write_svg(ns.svg, render_svg(figure, labels=not ns.no_labels))
+        _write_text(ns.svg, render_svg(figure, labels=not ns.no_labels))
     return 0
 
 
@@ -103,7 +102,7 @@ def _cmd_polygon(ns) -> int:
     if ns.n > _MAX_POLYGON_N:
         raise VesicaError(f"polygon supports n <= {_MAX_POLYGON_N}, got n={ns.n}")
     result = methods.polygon(Method(ns.method), ns.n)
-    _write_svg(ns.svg, render_polygon(result, labels=not ns.no_labels))
+    _write_text(ns.svg, render_polygon(result, labels=not ns.no_labels))
     print(f"closure_gap = {result.closure_gap!r}")
     return 0
 
@@ -127,9 +126,9 @@ def _cmd_rectify(ns) -> int:
     return 0
 
 
-def _write_svg(path: str, document: str) -> None:
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(document)
+        handle.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -281,11 +281,24 @@ class _Cursor:
 
     def int(self) -> int:
         column = self.tokens[self.pos][2]
-        text = self.tokens[self.pos + self.at("sym", "-")][1]  # float() rounds above 2**53
-        num = self.num()
-        if num.symbol is not None or num.value != int(num.value):
-            raise ParseError(self.lineno, column, "expected an integer")
-        return (-int(text) if num.value < 0 else int(text)) if text.isdigit() else int(num.value)
+        text = self.tokens[self.pos + self.at("sym", "-")][1]
+        num = self.num()  # a literal beyond a float's range fails here
+        # float() rounds above 2**53, so n is int(significant) * 10**shift,
+        # with zeros trimmed first, as int() refuses more than 4300 digits.
+        mantissa, _, exponent = text.lower().partition("e")
+        whole, _, fraction = mantissa.partition(".")
+        digits = (whole + fraction).lstrip("0")
+        significant = digits.rstrip("0")
+        if num.symbol is None and not significant:
+            return 0
+        if num.symbol is None and num.value:  # nonzero and finite: a short exponent
+            power = int(exponent.lstrip("+-").lstrip("0") or 0)
+            shift = len(digits) - len(significant) - len(fraction)
+            shift += -power if exponent.startswith("-") else power
+            if shift >= 0:  # then int(significant) * 10**shift < 2**1024
+                n = int(significant) * 10**shift
+                return -n if num.value < 0 else n
+        raise ParseError(self.lineno, column, "expected an integer")
 
     def selector(self) -> Selector:
         kind, text, _ = self.tokens[self.pos]

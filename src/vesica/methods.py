@@ -4,12 +4,9 @@ Both recipes start from the same base point V, the lower intersection of two
 arcs drawn around the ends of a horizontal diameter with the diameter as
 radius (the vesica piscis apex, at distance sqrt(3) below the center).  A ray
 from V through a division point of the diameter cuts the circle at a point G,
-and the central angle it spans approximates 2*pi/n:
-
-* Bion: aim through the second of n equal diameter divisions (from the left
-  endpoint B) and measure the angle from B.
-* Tempier: aim through the point two n-th parts of the diameter left of the
-  center and measure the angle from the top of the vertical diameter.
+and the central angle it spans approximates 2*pi/n.  The recipes differ only in
+the division point they aim through and the point they measure from; each
+``Method`` member holds that description.
 
 This module carries both the closed-form angles (where the ray from V meets
 the circle, solved without cancellation) and generators that emit the same
@@ -71,9 +68,45 @@ TAU = 2.0 * math.pi
 TIE_TOLERANCE = 1e-4
 
 
+# Canonical frame: unit circle about C, diameter B(-1,0) -- A(1,0),
+# vesica arcs about both endpoints with radius |BA|, V picked below.  The
+# kernel evaluates it once, at import; every method program starts with these
+# statement objects, so evaluate resumes it from a copy of that figure.
+_FRAME = (
+    PointDef("C", Num(0.0), Num(0.0)),
+    PointDef("B", Num(-1.0), Num(0.0)),
+    PointDef("A", Num(1.0), Num(0.0)),
+    CircleDef("main", "C", "B"),
+    CircleDef("arcB", "B", "A"),
+    CircleDef("arcA", "A", "B"),
+    Intersect(("V",), "arcB", "arcA", Selector("lower")),
+)
+_register_head(_FRAME)
+
+
 class Method(Enum):
-    BION = "bion"
-    TEMPIER = "tempier"
+    """One recipe: the description its closed form, program and polygon share.
+
+    BION aims through F, the second of n equal parts of BA counted from B, and
+    measures theta from B; TEMPIER aims through T, 4/n left of the center (n-4
+    of 2n parts), and measures from D, the top of the vertical diameter.
+    ``value`` is the CLI name.  ``aim`` names the aiming point, ``division``
+    maps n to its (parts, index) on BA and ``reference`` names B or D.  ``head``
+    (the frame, plus D) and ``tail`` are the program's statements before and
+    after its one n-dependent Divide.
+    """
+
+    BION = ("bion", "F", lambda n: (n, 2), "B")
+    TEMPIER = ("tempier", "T", lambda n: (2 * n, n - 4), "D")
+
+    def __new__(cls, value, aim, division, reference):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.aim, member.division, member.reference = aim, division, reference
+        member.head = _FRAME + ((PointDef("D", Num(0.0), Num(1.0)),) if reference == "D" else ())
+        member.tail = (LineDef("ray", "V", aim), Intersect(("G",), "ray", "main", Selector("upper")),
+                       MeasureAngle("theta", "C", reference, "G"))
+        return member
 
 
 class UnsupportedN(VesicaError):
@@ -99,19 +132,6 @@ def _require_base(base_distance: float) -> None:
         raise VesicaError(f"base distance must be positive, got {base_distance}")
 
 
-class _MethodSpec(_Record):
-    """What one method's closed form, program, polygon and limit derive from:
-    the name of the aiming point on BA, n -> (parts, index) of BA counted
-    from B, and the point (B or D) theta is measured from."""
-
-    __slots__ = ("aim", "division", "reference")
-
-
-_SPECS = {
-    Method.BION: _MethodSpec("F", lambda n: (n, 2), "B"),
-    Method.TEMPIER: _MethodSpec("T", lambda n: (2 * n, n - 4), "D"),
-}
-
 # Far enough out that the 1/n term of n*theta(n) is far below an ulp.
 _LIMIT_N = 2**60
 
@@ -136,8 +156,7 @@ def method_angle(method: Method, n: int, base_distance: float = SQRT3) -> float:
     """The method's approximation to 2*pi/n, with V base_distance below the center."""
     _require_n(n)
     _require_base(base_distance)
-    spec = _SPECS[method]
-    return _closed_form(*spec.division(n), base_distance, spec.reference)
+    return _closed_form(*method.division(n), base_distance, method.reference)
 
 
 def bion_angle(n: int) -> float:
@@ -163,42 +182,11 @@ def tempier_angle(n: int, base_distance: float = SQRT3) -> float:
     return method_angle(Method.TEMPIER, n, base_distance)
 
 
-# --- construction programs ----------------------------------------------------
-
-# Canonical frame: unit circle about C, diameter B(-1,0) -- A(1,0),
-# vesica arcs about both endpoints with radius |BA|, V picked below.  The
-# kernel evaluates it once, at import; every method program starts with these
-# statement objects, so evaluate resumes it from a copy of that figure.
-_FRAME = (
-    PointDef("C", Num(0.0), Num(0.0)),
-    PointDef("B", Num(-1.0), Num(0.0)),
-    PointDef("A", Num(1.0), Num(0.0)),
-    CircleDef("main", "C", "B"),
-    CircleDef("arcB", "B", "A"),
-    CircleDef("arcA", "A", "B"),
-    Intersect(("V",), "arcB", "arcA", Selector("lower")),
-)
-_register_head(_FRAME)
-
-
-# Each method's statements before and after its Divide, the one that depends on n.
-_PROGRAM_PARTS = {
-    method: (_FRAME + ((PointDef("D", Num(0.0), Num(1.0)),) if spec.reference == "D" else ()), (
-        LineDef("ray", "V", spec.aim),
-        Intersect(("G",), "ray", "main", Selector("upper")),
-        MeasureAngle("theta", "C", spec.reference, "G"),
-    ))
-    for method, spec in _SPECS.items()
-}
-
-
 def method_program(method: Method, n: int) -> Program:
     """DSL program whose ``theta`` constructs ``method_angle(method, n)``: the ray
     from V through the aiming point hits the circle at G, measured from the reference."""
     _require_n(n)
-    spec = _SPECS[method]
-    head, tail = _PROGRAM_PARTS[method]
-    return Program((*head, Divide(spec.aim, "B", "A", *spec.division(n)), *tail))
+    return Program((*method.head, Divide(method.aim, "B", "A", *method.division(n)), *method.tail))
 
 
 def bion_program(n: int) -> Program:
@@ -256,11 +244,10 @@ def error_table(method: Method, n_from: int, n_to: int) -> list[ErrorRow]:
     if n_to < n_from:
         raise UnsupportedN(f"empty range: n_from={n_from} > n_to={n_to}")
     _require_n(n_to)  # so every n in the range is valid
-    spec = _SPECS[method]
     rows = []
     for n in range(n_from, n_to + 1):
         exact = TAU / n
-        approx = _closed_form(*spec.division(n), SQRT3, spec.reference)
+        approx = _closed_form(*method.division(n), SQRT3, method.reference)
         error = exact - approx
         rows.append(ErrorRow(n, exact, approx, error, abs(error) / exact))
     return rows
@@ -284,12 +271,11 @@ def best_method(n: int) -> Method | None:
     """
     _require_n(n)
     exact = TAU / n
-    errors = {m: abs(exact - _closed_form(*spec.division(n), SQRT3, spec.reference)) / exact
-              for m, spec in _SPECS.items()}
-    low, high = sorted(errors.values())
-    if high - low <= TIE_TOLERANCE:
+    bion, tempier = (abs(exact - _closed_form(*m.division(n), SQRT3, m.reference)) / exact
+                     for m in Method)
+    if abs(bion - tempier) <= TIE_TOLERANCE:
         return None
-    return min(errors, key=errors.get)
+    return Method.BION if bion < tempier else Method.TEMPIER
 
 
 def rectified_quadrant(base_distance: float) -> RectificationResult:

@@ -79,6 +79,39 @@ def test_parse_divide():
     assert stmt == Divide("F", "A", "B", 9, 2)
 
 
+@pytest.mark.parametrize("literal, n", [
+    ("1e30", 10**30),
+    ("12345678901234567891.0", 12345678901234567891),
+    ("9007199254740993.0", 2**53 + 1),
+    ("-4.5e1", -45),
+    (".5e1", 5),
+    ("120e-1", 12),
+    ("0.0e5", 0),
+    ("0e99999999999999999999", 0),
+    # int() refuses strings of more than 4300 digits
+    pytest.param("0" * 5000 + "9", 9, id="leading-zeros"),
+    pytest.param("1" + "0" * 5000 + "e-5000", 1, id="trailing-zeros"),
+    pytest.param("9e+" + "0" * 5000 + "1", 90, id="zero-padded-exponent"),
+])
+def test_divide_takes_n_from_the_literals_exact_value(literal, n):
+    (stmt,) = parse(f"divide F = B A {literal} 2").statements
+    assert stmt.n == n and type(stmt.n) is int
+    assert format_program(Program((stmt,))) == f"divide F = B A {n} 2\n"
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("1.5", "expected an integer"),
+    ("1.0000000000000000001", "expected an integer"),
+    ("00012e-1", "expected an integer"),
+    ("1e-400", "expected an integer"),
+    ("1e400", "numeric literal out of range: 1e400"),
+])
+def test_divide_rejects_a_non_integer_or_out_of_range_literal(literal, message):
+    with pytest.raises(ParseError) as err:
+        parse(f"divide F = B A {literal} 2")
+    assert str(err.value) == f"line 1, column 16: {message}"
+
+
 def test_parse_circle_forms():
     (plain,) = parse("circle main = C B").statements
     assert plain == CircleDef("main", "C", "B")

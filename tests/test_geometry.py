@@ -46,7 +46,6 @@ def test_only_the_result_types_bench_copies_remain_dataclasses():
     for info in pkgutil.iter_modules(vesica.__path__):
         module = importlib.import_module(f"vesica.{info.name}")
         exported += [getattr(module, name) for name in getattr(module, "__all__", ())]
-    exported.append(methods._MethodSpec)
     classes = {x for x in exported if isinstance(x, type)}
     assert {c.__name__ for c in classes if dataclasses.is_dataclass(c)} == {
         "ErrorRow", "Figure", "ConstructibilityVerdict", "Obstruction"}
@@ -82,9 +81,6 @@ RECORDS = [
      ("name", "vertex", "p", "q")),
     (dsl.Program((dsl.LineDef("L", "A", "B"),)),
      "Program(statements=(LineDef(name='L', a='A', b='B'),))", ("statements",)),
-    (methods._MethodSpec("F", divmod, "B"),
-     "_MethodSpec(aim='F', division=<built-in function divmod>, reference='B')",
-     ("aim", "division", "reference")),
     (methods.PolygonResult((_Q,), 1.5, -0.25),
      "PolygonResult(vertices=(Point(x=-0.5, y=0.0),), step_angle=1.5, closure_gap=-0.25)",
      ("vertices", "step_angle", "closure_gap")),

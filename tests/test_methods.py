@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import mpmath
@@ -27,6 +29,21 @@ from vesica.methods import (
 )
 
 TAU = 2 * math.pi
+
+
+# --- the Method members ---------------------------------------------------------
+
+def test_method_members_are_singletons_named_by_value():
+    assert Method("bion") is Method.BION and Method("tempier") is Method.TEMPIER
+    for member in Method:
+        assert copy.copy(member) is member
+        assert copy.deepcopy(member) is member
+        assert pickle.loads(pickle.dumps(member)) is member
+    assert [m.value for m in Method] == ["bion", "tempier"]
+    assert repr(Method.BION) == "<Method.BION: 'bion'>"
+    assert repr(Method.TEMPIER) == "<Method.TEMPIER: 'tempier'>"
+    assert Method.TEMPIER.division(9) == (18, 5)
+    assert Method.BION.division(9) == (9, 2)
 
 
 # --- angle formulas -------------------------------------------------------------
