@@ -3,8 +3,9 @@
 The world y-axis points up (math orientation, base point V below the
 diameter); SVG's points down, so the mapping to pixel space flips y.  The
 canvas is 640 px wide, padded by 8 % of the content span.  There are no
-options beyond `labels`: every number prints with two fraction digits, ties
-rounded half away from zero, and the same figure always gives the same bytes.
+options beyond `labels`: every number prints with two fraction digits through
+the correctly rounded float formatter, exact integer arithmetic deciding ties
+(half away from zero), and the same figure always gives the same bytes.
 """
 
 from __future__ import annotations
@@ -33,11 +34,17 @@ class EmptyFigure(VesicaError):
 
 
 def fixed(value: float, decimals: int) -> str:
-    """Format with exactly `decimals` fraction digits, ties away from zero, never -0."""
+    """Format with exactly `decimals` fraction digits, ties away from zero, never -0:
+    floats by the correctly rounded formatter, ties, ints and -0 by exact integers."""
     if not math.isfinite(value):
         raise VesicaError(f"cannot format the non-finite value {value}")
     if operator.index(decimals) < 0:
         raise VesicaError(f"cannot format with {decimals} decimals")
+    if type(value) is float:
+        text = "%.*f" % (decimals, value)
+        step = 2.0 ** -decimals  # ties are odd multiples of step / 2; none exist once step is 0.0
+        if (text[0] != "-" or text.strip("-0.")) and (not step or value % step != step / 2):
+            return text
     num, den = value.as_integer_ratio()
     units, rest = divmod(abs(num) * 10**decimals, den)
     if 2 * rest >= den:
@@ -50,6 +57,7 @@ def fixed(value: float, decimals: int) -> str:
 
 class _Canvas:
     """World-to-pixel mapping over a padded bounding box, y flipped."""
+    _size = fixed(_MARKER, _DECIMALS)  # the side of every marker, formatted once
 
     def __init__(self, bounds: tuple[float, float, float, float]):
         x0, y0, x1, y1 = bounds
@@ -81,9 +89,9 @@ class _Canvas:
 
     def marker(self, name: str, p: Point, labels: bool) -> list[str]:
         cx, cy = self.xy(p)
-        x, y, size = cx - _MARKER / 2, cy - _MARKER / 2, fixed(_MARKER, _DECIMALS)
+        x, y = cx - _MARKER / 2, cy - _MARKER / 2
         out = [f'<rect x="{fixed(x, _DECIMALS)}" y="{fixed(y, _DECIMALS)}" '
-               f'width="{size}" height="{size}" fill="#000000"/>']
+               f'width="{self._size}" height="{self._size}" fill="#000000"/>']
         if labels:
             x, y = cx + (_MARKER + 2.0), cy - (_MARKER + 2.0)
             out.append(f'<text x="{fixed(x, _DECIMALS)}" y="{fixed(y, _DECIMALS)}" '
@@ -179,6 +187,7 @@ def render_polygon(result: PolygonResult, labels: bool = True) -> str:
     body.append(f'<polyline points="{points_attr}" fill="none" {_STROKE}/>')
     for k, v in enumerate(result.vertices):
         body.extend(canvas.marker(f"V{k}", v, labels))
-    gap = ("+" if result.closure_gap >= 0 else "") + fixed(result.closure_gap, 6)
+    gap = fixed(result.closure_gap, 6)
+    gap = gap if gap[0] == "-" else "+" + gap  # a gap printing as zero reads +0.000000
     body.append(f'<text x="8.00" y="16.00" {_LABEL}>closure gap {gap} rad</text>')
     return canvas.document(body)

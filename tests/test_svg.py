@@ -1,10 +1,12 @@
 import hashlib
 import itertools
+import math
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from decimal import ROUND_HALF_UP, Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from corpus import HANDWRITTEN_PROGRAMS
 from vesica.cli import main
 from vesica.dsl import Figure, Num, PointDef, Program, evaluate, format_program, parse
 from vesica.geometry import Circle, Line, Point, VesicaError
-from vesica.methods import Method, bion_program, method_program, polygon
+from vesica.methods import Method, PolygonResult, bion_program, method_program, polygon
 from vesica.svg import EmptyFigure, fixed, render_polygon, render_svg
 
 
@@ -43,6 +45,44 @@ def test_fixed_matches_decimal_oracle(value, decimals):
 )
 def test_fixed_matches_decimal_oracle_on_edge_cases(sign, value, decimals):
     assert fixed(sign * value, decimals) == _fixed_oracle(sign * value, decimals)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**52 - 1), st.integers(0, 52), st.integers(0, 15), st.sampled_from([1, -1]))
+def test_fixed_matches_decimal_oracle_on_ties(bits, shift, decimals, sign):
+    # a tie at `decimals` digits is an odd multiple of 2**-(decimals + 1); random
+    # floats almost never draw one, so build them at every magnitude up to 2**52
+    tie = sign * (2 * (bits >> shift) + 1) / 2 ** (decimals + 1)
+    for value in (tie, math.nextafter(tie, -math.inf), math.nextafter(tie, math.inf)):
+        assert fixed(value, decimals) == _fixed_oracle(value, decimals)
+
+
+@pytest.mark.parametrize(
+    "value, decimals, text",
+    [(640, 2, "640.00"), (True, 2, "1.00"), (2**60 + 1, 0, "1152921504606846977"),
+     (-(2**53 + 1), 0, "-9007199254740993"), (-(2**53 + 1), 2, "-9007199254740993.00")],
+)
+def test_fixed_formats_ints_exactly(value, decimals, text):
+    # an int keeps every digit, even where the nearest float does not
+    assert fixed(value, decimals) == text
+
+
+def _expansion(value: float, decimals: int) -> str:
+    """`value` written out digit by digit with `Fraction`; it must end within `decimals`."""
+    rest = abs(Fraction(value))
+    text = f"{int(rest)}."
+    for _ in range(decimals):
+        rest = (rest - int(rest)) * 10
+        text += str(int(rest))
+    assert rest == int(rest)
+    return ("-" if value < 0 else "") + text
+
+
+@pytest.mark.parametrize("value, decimals", [(0.1, 5000), (5e-324, 1074), (-5e-324, 1074)])
+def test_fixed_with_more_decimals_than_int_to_str_allows(value, decimals):
+    text = fixed(value, decimals)
+    assert len(text) == decimals + 2 + (value < 0)
+    assert text == _expansion(value, decimals)
 
 
 def test_fixed_half_away_from_zero():
@@ -183,7 +223,15 @@ def test_render_polygon_shows_closure_gap():
 
 def test_render_polygon_exact_case_annotation():
     doc = render_polygon(polygon(Method.TEMPIER, 12))
-    assert "closure gap +0.000000 rad" in doc or "closure gap -0.000000 rad" in doc
+    assert "closure gap +0.000000 rad" in doc
+
+
+@pytest.mark.parametrize("gap, label", [(-1e-12, "+0.000000"), (0.0, "+0.000000"), (-0.0, "+0.000000"),
+                                        (1e-12, "+0.000000"), (-6e-7, "-0.000001")])
+def test_closure_gap_sign_follows_the_printed_digits(gap, label):
+    square = polygon(Method.BION, 4)
+    doc = render_polygon(PolygonResult(square.vertices, square.step_angle, gap))
+    assert f"closure gap {label} rad" in doc
 
 
 def test_object_order_follows_insertion_order():
