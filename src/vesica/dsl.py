@@ -21,6 +21,11 @@ An intersect statement with one result name defaults to selector ``first``;
 with two result names it binds both intersection points in kernel order and
 admits no pick clause.
 
+``parse`` reads each line in two steps: one whole-line pattern per statement
+keyword takes the common spellings and builds the statement from its groups;
+any other line goes to a token cursor, which reads every spelling and owns
+every ParseError.
+
 ``parse`` -> ``format_program`` round-trips structurally; ``evaluate`` runs a
 program against the geometry kernel and returns a ``Figure``.  Name scoping
 errors (unknown/duplicate) surface at evaluation, not parse.
@@ -28,6 +33,7 @@ errors (unknown/duplicate) surface at evaluation, not parse.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -106,8 +112,6 @@ _STATEMENT_KEYWORDS = frozenset({"point", "line", "circle", "intersect", "divide
 
 _KEYWORDS = _STATEMENT_KEYWORDS | _SELECTOR_KINDS | frozenset(_SYMBOLIC) | {"pick", "radius", "both"}
 
-_set = object.__setattr__  # records refuse assignment; the checking ones store this way
-
 
 class Num(_Record):
     """A numeric literal; `symbol` records symbolic spelling (pi / sqrt3)."""
@@ -119,8 +123,8 @@ class Num(_Record):
             raise VesicaError(f"numeric literal must be finite, got {value}")
         if symbol is not None and symbol not in _SYMBOLIC:
             raise VesicaError(f"unknown symbolic literal {symbol!r}")
-        _set(self, "value", value)
-        _set(self, "symbol", symbol)
+        _set_value(self, value)
+        _set_symbol(self, symbol)
 
 
 class Selector(_Record):
@@ -133,8 +137,8 @@ class Selector(_Record):
             raise VesicaError(f"unknown selector kind {kind!r}")
         if (ref is not None) != (kind == "near"):
             raise VesicaError("selector `near` takes a point name; others take none")
-        _set(self, "kind", kind)
-        _set(self, "ref", ref)
+        _set_kind(self, kind)
+        _set_ref(self, ref)
 
 
 class PointDef(_Record):
@@ -165,10 +169,10 @@ class Intersect(_Record):
             raise VesicaError("intersect binds one or two names")
         if (len(names) == 2) != (pick is None):
             raise VesicaError("one result name takes a selector; two take none")
-        _set(self, "names", names)
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "pick", pick)
+        _set_names(self, names)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_pick(self, pick)
 
 
 class Divide(_Record):
@@ -190,7 +194,14 @@ class Program(_Record):
     def __init__(self, statements: tuple[Statement, ...]) -> None:
         if not statements:
             raise VesicaError("a program holds at least one statement")
-        _set(self, "statements", statements)
+        _set_statements(self, statements)
+
+
+# The checking records store through bound setters, as Point does.
+_set_value, _set_symbol = Num._stores
+_set_kind, _set_ref = Selector._stores
+_set_names, _set_a, _set_b, _set_pick = Intersect._stores
+(_set_statements,) = Program._stores
 
 
 @dataclass(slots=True)
@@ -355,28 +366,120 @@ class _Cursor:
         return stmt
 
 
+# Whole-line patterns: one per statement keyword, each matching the common
+# spellings of its statement (blanks, a trailing comment, decimal literals in
+# ASCII digits, plain divide counts) and nothing the cursor would read
+# differently.  A line they miss, or whose groups fail the builder's check,
+# goes to the cursor, so they never raise.  Linear time: no two blank runs may
+# meet around an optional token, as in `[ \t]*-?[ \t]*`, whose split of n
+# blanks the later tokens would retry n ways; so a sign is `(?:(-)[ \t]*)?`.
+_NAME = r"([A-Za-z_][A-Za-z0-9_]*)"
+_NUM = r"(?:(-)[ \t]*)?([0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
+_COUNT = r"(0|[1-9][0-9]{0,15})"  # plain counts only; int() of one is the cursor's n
+
+
+def _point_line(name, x_minus, x, y_minus, y):
+    x, y = float(x), float(y)
+    if name in _KEYWORDS or not (math.isfinite(x) and math.isfinite(y)):
+        return None
+    return PointDef(name, Num(-x if x_minus else x), Num(-y if y_minus else y))
+
+
+def _circle_line(name, center, rad_from, through):
+    if not _KEYWORDS.isdisjoint((name, center, rad_from, through)):
+        return None
+    if rad_from is None:
+        return CircleDef(name, center, through)
+    return CircleRadDef(name, center, rad_from, through)
+
+
+def _intersect_line(name, second, a, b, ref, kind):
+    if not _KEYWORDS.isdisjoint((name, second, a, b, ref)):
+        return None
+    if second is None:
+        return Intersect((name,), a, b, Selector("near", ref) if ref else Selector(kind or "first"))
+    if ref is None and kind is None:  # two result names take no pick clause
+        return Intersect((name, second), a, b, None)
+    return None
+
+
+def _divide_line(name, start, end, n, k):
+    if not _KEYWORDS.isdisjoint((name, start, end)):
+        return None
+    return Divide(name, start, end, int(n), int(k))
+
+
+def _names_line(record):
+    return lambda *names: record(*names) if _KEYWORDS.isdisjoint(names) else None
+
+
+# keyword -> (the pattern after "keyword NAME", the statement from all groups)
+_LINE_FORMS = {
+    "point": (rf"[ \t]*=[ \t]*\([ \t]*{_NUM}[ \t]*,[ \t]*{_NUM}[ \t]*\)", _point_line),
+    "line": (rf"[ \t]*=[ \t]*{_NAME}[ \t]+{_NAME}", _names_line(LineDef)),
+    "circle": (rf"[ \t]*=[ \t]*{_NAME}[ \t]+(?:radius[ \t]+{_NAME}[ \t]+)?{_NAME}", _circle_line),
+    "intersect": (rf"(?:[ \t]+{_NAME})?[ \t]*=[ \t]*{_NAME}[ \t]+{_NAME}(?:[ \t]+pick[ \t]+"
+                  rf"(?:near[ \t]+{_NAME}|(first|second|upper|lower|left|right)))?", _intersect_line),
+    "divide": (rf"[ \t]*=[ \t]*{_NAME}[ \t]+{_NAME}[ \t]+{_COUNT}[ \t]+{_COUNT}", _divide_line),
+    "angle": (rf"[ \t]*=[ \t]*{_NAME}[ \t]+{_NAME}[ \t]+{_NAME}", _names_line(MeasureAngle)),
+}
+
+
+@functools.cache
+def _line_patterns() -> dict:
+    """keyword -> (its whole-line fullmatch, its builder), compiled on the
+    first parse: most vesica commands never parse."""
+    return {
+        keyword: (re.compile(rf"[ \t]*{keyword}[ \t]+{_NAME}{tail}[ \t]*(?:\#.*)?").fullmatch, build)
+        for keyword, (tail, build) in _LINE_FORMS.items()
+    }
+
+
+def _matched_statement(line: str) -> Statement | None:
+    """The statement that the whole-line pattern of `line`'s first word
+    builds, or None when there is no such pattern, it does not match or a
+    group fails its builder's check."""
+    words = line.split(None, 1)
+    form = _line_patterns().get(words[0]) if words else None
+    match = form[0](line) if form is not None else None
+    return form[1](*match.groups()) if match is not None else None
+
+
+def _cursor_statement(line: str, lineno: int) -> Statement | None:
+    """The statement on `line` read token by token; None for a blank or
+    comment line.  Raises ParseError at the first offending token."""
+    tokens = [
+        (m.lastgroup, m.group(), m.start() + 1)
+        for m in _TOKEN_RE.finditer(line)
+        if m.lastgroup
+    ]
+    if not tokens:
+        return None
+    for kind, char, column in tokens:
+        if kind == "bad":
+            raise ParseError(lineno, column, f"unexpected character {char!r}")
+    tokens.append(("end", "", len(line) + 1))
+    return _Cursor(tokens, lineno).statement()
+
+
 def parse(text: str) -> Program:
     """Parse program text; raises ParseError at the first offending token.
 
     Lines end at LF; CRs at the end of a line are dropped, so CRLF text
-    parses the same.
+    parses the same.  Each line is read in two steps: the whole-line pattern
+    of its first word builds the statement straight from its groups, and a
+    line that pattern does not take goes to the token cursor, which reads
+    every spelling and alone raises ParseError.  Both give the same
+    statement for every line the pattern takes.
     """
     lines = text.removesuffix("\n").split("\n")  # a final LF starts no line
     statements: list[Statement] = []
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\r")
-        tokens = [
-            (m.lastgroup, m.group(), m.start() + 1)
-            for m in _TOKEN_RE.finditer(line)
-            if m.lastgroup
-        ]
-        if not tokens:
+        stmt = _matched_statement(line)
+        if stmt is None and (stmt := _cursor_statement(line, lineno)) is None:
             continue
-        for kind, char, column in tokens:
-            if kind == "bad":
-                raise ParseError(lineno, column, f"unexpected character {char!r}")
-        tokens.append(("end", "", len(line) + 1))
-        statements.append(_Cursor(tokens, lineno).statement())
+        statements.append(stmt)
     if not statements:
         raise ParseError(len(lines), 1, "program contains no statements")
     return Program(tuple(statements))

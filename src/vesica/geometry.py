@@ -44,9 +44,10 @@ class _Record:
     Behaves as a frozen dataclass: one constructor takes each field once, by
     position or keyword; __eq__ is field-wise within one class, __hash__ that
     of the field tuple; the repr is ``Name(field=value, ...)``; fields match
-    by position and are read-only.  Num, Selector, Intersect and Program
-    write their own __init__ to check arguments first; so do Point, Line and
-    Circle, which store through bound setters as the kernel builds thousands.
+    by position and are read-only.  Point, Line, Circle, Num, Selector,
+    Intersect and Program check their arguments in their own __init__, then
+    store through the bound setters in ``_stores``, a call cheaper than this
+    constructor's, as the kernel and method programs build thousands.
     """
 
     __slots__ = ()

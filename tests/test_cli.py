@@ -131,6 +131,14 @@ def test_cli_import_leaves_json_and_decimal_unloaded():
     assert done.stdout == "[]\n"
 
 
+def test_cli_import_compiles_no_line_pattern():
+    code = "import vesica.cli; print(vesica.dsl._line_patterns.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "0\n"
+
+
 def test_table_rejects_bad_range(capsys):
     code, _, err = run_cli(capsys, "table", "bion", "--from", "3")
     assert code == 2 and err != ""
@@ -201,6 +209,16 @@ def test_run_reports_lone_cr_where_parse_does(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err == f"error: {parsed.value}\n"
     assert "line 1, column 17: unexpected character '\\r'" in err
+
+
+def test_run_reports_a_stray_character_after_long_blank_runs(capsys, tmp_path):
+    gap = " \t" * 50_000
+    line = gap.join(("", "point", "A", "=", "(", "-", "1", ",", "2", ")", ";"))
+    path = tmp_path / "blanks.euc"
+    path.write_text(f"point O = (0, 0)\n{line}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 2, column 1000014: unexpected character ';'\n"
 
 
 def test_run_crlf_file_prints_the_scalars_of_its_lf_twin(capsys, tmp_path):

@@ -1,10 +1,13 @@
 import hashlib
 import itertools
 import math
+import re
+import time
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vesica import dsl, methods
 from vesica.dsl import (
@@ -24,6 +27,7 @@ from vesica.dsl import (
     UnknownName,
     evaluate,
     format_program,
+    format_statement,
     parse,
 )
 from vesica.geometry import CoincidentCurves, VesicaError
@@ -595,12 +599,7 @@ def test_resumed_theta_is_bit_identical_across_threads():
 # --- generated-program round trip -------------------------------------------------
 
 _names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True).filter(
-    lambda s: s
-    not in {
-        "point", "line", "circle", "intersect", "divide", "angle", "pick",
-        "radius", "near", "both", "first", "second", "upper", "lower",
-        "left", "right", "pi", "sqrt3",
-    }
+    lambda s: s not in dsl._KEYWORDS
 )
 _floats = st.floats(allow_nan=False, allow_infinity=False)
 _nums = st.one_of(
@@ -629,3 +628,118 @@ _programs = st.builds(lambda stmts: Program(tuple(stmts)), st.lists(_statements,
 @given(program=_programs)
 def test_roundtrip_on_generated_programs(program):
     assert parse(format_program(program)) == program
+
+
+# --- whole-line patterns against the cursor ---------------------------------------
+
+def _outcome(text: str) -> str:
+    """repr of the parsed program, or str of the ParseError."""
+    try:
+        return repr(parse(text))
+    except ParseError as err:
+        return str(err)
+
+
+def _cursor_only_outcome(text: str) -> str:
+    with mock.patch.object(dsl, "_matched_statement", lambda line: None):
+        return _outcome(text)
+
+
+def _literal_spellings(text: str) -> list[str]:
+    """Respellings of one literal token: blanks after the sign, exponents,
+    -0, zero padding, many digits, the other sign, a fraction."""
+    sign, body = ("-", text[1:]) if text.startswith("-") else ("", text)
+    spellings = [text, f"{sign} {body}", f"{sign}\t{body}", "00" + body, body + "0" * 17,
+                 "-" + body, text + "e0", text + ".0"]
+    if body not in dsl._SYMBOLIC:
+        value = float(text)
+        spellings += ["%.17e" % value, "%.17E" % value, "%.3e" % value]
+        if value == 0:
+            spellings += ["-0", "-0.0", "-.0e5", "0e-999", "-0e+0"]
+    return spellings
+
+
+_DIGIT_SETS = ["\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",  # Arabic-Indic
+               "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19",  # fullwidth
+               "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f"]  # Devanagari
+_SYMBOL_TOKENS = "(),="
+
+
+@st.composite
+def _spelled_lines(draw):
+    """(canonical, line): a generated statement's canonical text, and the
+    statement respelled: blanks and tabs, literal spellings, reserved words,
+    a comment, and perhaps a Unicode digit, a stray character or a cut."""
+    canonical = format_statement(draw(_statements))
+    tokens = re.findall(r"[(),=]|[^ (),=]+", canonical)
+    line = draw(st.sampled_from(["", "", " ", "\t"]))
+    for i, token in enumerate(tokens):
+        if token[0] in "-.0123456789":
+            token = draw(st.sampled_from(_literal_spellings(token)))
+        elif i and draw(st.integers(0, 9)) == 0:
+            token = draw(st.sampled_from(sorted(dsl._KEYWORDS)))
+        if i and tokens[i - 1] not in _SYMBOL_TOKENS and tokens[i] not in _SYMBOL_TOKENS:
+            line += draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+        elif i:
+            line += draw(st.sampled_from(["", "", " ", "\t"]))
+        line += token
+    line += draw(st.sampled_from(["", "", " ", "\t", "# note", "  #", "\t# x = (1, 2)"]))
+    digits = [i for i, char in enumerate(line) if char in "0123456789"]
+    if digits and draw(st.integers(0, 4)) == 0:
+        i = draw(st.sampled_from(digits))
+        line = line[:i] + draw(st.sampled_from(_DIGIT_SETS))[int(line[i])] + line[i + 1:]
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(line)))
+        stray = draw(st.sampled_from(["x", "7", "-", "=", "(", ";", "#", "\r", "\x0c", "\u00e9"]))
+        line = line[:i] + stray + line[i:]
+    if draw(st.integers(0, 4)) == 0:
+        line = line[:draw(st.integers(0, len(line)))]
+    return canonical, line
+
+
+@settings(deadline=None)
+@given(spelled=_spelled_lines(), newline=st.sampled_from(["\n", "\r\n"]))
+def test_line_patterns_agree_with_the_cursor(spelled, newline):
+    # repr, not ==, tells Num(-0.0) from Num(0.0).
+    canonical, line = spelled
+    if not re.search(r"\b(?:pi|sqrt3)\b", canonical):
+        taken = dsl._matched_statement(canonical)
+        assert taken is not None, canonical
+        assert repr(taken) == repr(dsl._cursor_statement(canonical, 1))
+    fast = dsl._matched_statement(line)
+    if fast is not None:
+        slow = dsl._cursor_statement(line, 1)
+        assert (type(fast), repr(fast)) == (type(slow), repr(slow)), line
+    text = f"# heading{newline}point O = (0, 0){newline}{line}{newline}"
+    assert _outcome(text) == _cursor_only_outcome(text)
+
+
+_GAP = " \t" * 50_000  # 100 000 blanks
+
+
+@pytest.mark.parametrize("tokens", [
+    ("point", "A", "=", "(", "-", "1.5", ",", "-", "2e-3", ")"),
+    ("line", "L", "=", "A", "B"),
+    ("circle", "c", "=", "A", "B"),
+    ("circle", "c", "=", "A", "radius", "B", "C"),
+    ("intersect", "P", "=", "c", "d"),
+    ("intersect", "P", "=", "c", "d", "pick", "near", "Q"),
+    ("intersect", "P", "Q", "=", "c", "d"),
+    ("divide", "F", "=", "A", "B", "9", "2"),
+    ("angle", "t", "=", "A", "B", "C"),
+], ids=["point", "line", "circle", "circle-radius", "intersect", "intersect-pick",
+        "intersect-two-names", "divide", "angle"])
+@pytest.mark.parametrize("stray", ["", ";"], ids=["valid", "stray"])
+def test_line_patterns_run_in_linear_time(tokens, stray):
+    # A pattern in which two blank runs meet around an optional token takes
+    # minutes on this line; the cursor, and a linear pattern, milliseconds.
+    line = _GAP.join(("",) + tokens + (stray,))
+    start = time.perf_counter()
+    outcome = _outcome(line)
+    assert time.perf_counter() - start < 1.0
+    if stray:
+        assert outcome == f"line 1, column {len(line)}: unexpected character ';'"
+        assert dsl._matched_statement(line) is None
+    else:
+        assert outcome == repr(Program((dsl._matched_statement(line),)))
+    assert outcome == _cursor_only_outcome(line)
