@@ -12,8 +12,8 @@ whitespace-insensitive tokens::
     angle NAME = NAME NAME NAME              # vertex, p, q
 
     SELECTOR := first | second | upper | lower | left | right | near NAME
-    NUM      := decimal literal, or the exact tokens `pi` / `sqrt3`
-                (optionally preceded by `-`)
+    NUM      := decimal literal in ASCII digits, or the exact tokens `pi` /
+                `sqrt3` (optionally preceded by `-`)
 
 The ``pi`` and ``sqrt3`` tokens carry exact irrational values into programs
 without an expression grammar; the formatter prints them back symbolically.
@@ -21,10 +21,10 @@ An intersect statement with one result name defaults to selector ``first``;
 with two result names it binds both intersection points in kernel order and
 admits no pick clause.
 
-``parse`` reads each line in two steps: one whole-line pattern per statement
-keyword takes the common spellings and builds the statement from its groups;
-any other line goes to a token cursor, which reads every spelling and owns
-every ParseError.
+``parse`` reads each line in two steps, both built from one definition of each
+token: one whole-line pattern per statement keyword takes the common spellings
+and builds the statement from its groups; any other line goes to a token
+cursor, which reads every spelling and owns every ParseError.
 
 ``parse`` -> ``format_program`` round-trips structurally; ``evaluate`` runs a
 program against the geometry kernel and returns a ``Figure``.  Name scoping
@@ -224,19 +224,16 @@ class Figure:
 
 # --- parser ------------------------------------------------------------------
 
+# The tokens of the grammar, shared by the cursor and the whole-line patterns.
+# A number is written in ASCII digits: [0-9], not \d, which takes any
+# Unicode decimal digit.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUMBER = r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+
 # One pass per line: blanks and comments match no group, the last group
 # catches any character no token can start with.
-_TOKEN_RE = re.compile(
-    r"""
-    [ \t]+
-  | \#.*
-  | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>[=(),-])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+_TOKEN_RE = re.compile(rf"[ \t]+|\#.*|(?P<number>{_NUMBER})|(?P<name>{_NAME})|(?P<sym>[=(),-])|(?P<bad>.)")
+
 
 class _Cursor:
     """Walks one line's (kind, text, column) tokens, ending in an "end" token."""
@@ -367,35 +364,32 @@ class _Cursor:
 
 
 # Whole-line patterns: one per statement keyword, each matching the common
-# spellings of its statement (blanks, a trailing comment, decimal literals in
-# ASCII digits, plain divide counts) and nothing the cursor would read
-# differently.  A line they miss, or whose groups fail the builder's check,
-# goes to the cursor, so they never raise.  Linear time: no two blank runs may
-# meet around an optional token, as in `[ \t]*-?[ \t]*`, whose split of n
-# blanks the later tokens would retry n ways; so a sign is `(?:(-)[ \t]*)?`.
-_NAME = r"([A-Za-z_][A-Za-z0-9_]*)"
-_NUM = r"(?:(-)[ \t]*)?([0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
+# spellings of its statement (blanks, a trailing comment, plain divide counts)
+# and nothing the cursor would read differently.  A line they miss, a reserved
+# word in a name group, or groups that fail the builder's check send the line
+# to the cursor, so they never raise.  Linear time: no two blank runs may meet
+# around an optional token, as in `[ \t]*-?[ \t]*`, whose split of n blanks
+# the later tokens would retry n ways; so a sign is `(?:(-)[ \t]*)?`.
+_NAME_GROUP = f"({_NAME})"
+_SIGNED_NUMBER = rf"(?:(-)[ \t]*)?({_NUMBER})"
 _COUNT = r"(0|[1-9][0-9]{0,15})"  # plain counts only; int() of one is the cursor's n
+_KIND_GROUP = f"({'|'.join(sorted(_SELECTOR_KINDS - {'near'}))})"
 
 
 def _point_line(name, x_minus, x, y_minus, y):
     x, y = float(x), float(y)
-    if name in _KEYWORDS or not (math.isfinite(x) and math.isfinite(y)):
+    if not (math.isfinite(x) and math.isfinite(y)):
         return None
     return PointDef(name, Num(-x if x_minus else x), Num(-y if y_minus else y))
 
 
 def _circle_line(name, center, rad_from, through):
-    if not _KEYWORDS.isdisjoint((name, center, rad_from, through)):
-        return None
     if rad_from is None:
         return CircleDef(name, center, through)
     return CircleRadDef(name, center, rad_from, through)
 
 
 def _intersect_line(name, second, a, b, ref, kind):
-    if not _KEYWORDS.isdisjoint((name, second, a, b, ref)):
-        return None
     if second is None:
         return Intersect((name,), a, b, Selector("near", ref) if ref else Selector(kind or "first"))
     if ref is None and kind is None:  # two result names take no pick clause
@@ -403,46 +397,43 @@ def _intersect_line(name, second, a, b, ref, kind):
     return None
 
 
-def _divide_line(name, start, end, n, k):
-    if not _KEYWORDS.isdisjoint((name, start, end)):
-        return None
-    return Divide(name, start, end, int(n), int(k))
-
-
-def _names_line(record):
-    return lambda *names: record(*names) if _KEYWORDS.isdisjoint(names) else None
-
-
-# keyword -> (the pattern after "keyword NAME", the statement from all groups)
+# keyword -> (the pattern after "keyword NAME", with every name group ahead of
+# any other group; the statement from all groups)
 _LINE_FORMS = {
-    "point": (rf"[ \t]*=[ \t]*\([ \t]*{_NUM}[ \t]*,[ \t]*{_NUM}[ \t]*\)", _point_line),
-    "line": (rf"[ \t]*=[ \t]*{_NAME}[ \t]+{_NAME}", _names_line(LineDef)),
-    "circle": (rf"[ \t]*=[ \t]*{_NAME}[ \t]+(?:radius[ \t]+{_NAME}[ \t]+)?{_NAME}", _circle_line),
-    "intersect": (rf"(?:[ \t]+{_NAME})?[ \t]*=[ \t]*{_NAME}[ \t]+{_NAME}(?:[ \t]+pick[ \t]+"
-                  rf"(?:near[ \t]+{_NAME}|(first|second|upper|lower|left|right)))?", _intersect_line),
-    "divide": (rf"[ \t]*=[ \t]*{_NAME}[ \t]+{_NAME}[ \t]+{_COUNT}[ \t]+{_COUNT}", _divide_line),
-    "angle": (rf"[ \t]*=[ \t]*{_NAME}[ \t]+{_NAME}[ \t]+{_NAME}", _names_line(MeasureAngle)),
+    "point": (rf"[ \t]*=[ \t]*\([ \t]*{_SIGNED_NUMBER}[ \t]*,[ \t]*{_SIGNED_NUMBER}[ \t]*\)", _point_line),
+    "line": (rf"[ \t]*=[ \t]*{_NAME_GROUP}[ \t]+{_NAME_GROUP}", LineDef),
+    "circle": (rf"[ \t]*=[ \t]*{_NAME_GROUP}[ \t]+(?:radius[ \t]+{_NAME_GROUP}[ \t]+)?{_NAME_GROUP}",
+               _circle_line),
+    "intersect": (rf"(?:[ \t]+{_NAME_GROUP})?[ \t]*=[ \t]*{_NAME_GROUP}[ \t]+{_NAME_GROUP}"
+                  rf"(?:[ \t]+pick[ \t]+(?:near[ \t]+{_NAME_GROUP}|{_KIND_GROUP}))?", _intersect_line),
+    "divide": (rf"[ \t]*=[ \t]*{_NAME_GROUP}[ \t]+{_NAME_GROUP}[ \t]+{_COUNT}[ \t]+{_COUNT}",
+               lambda name, start, end, n, k: Divide(name, start, end, int(n), int(k))),
+    "angle": (rf"[ \t]*=[ \t]*{_NAME_GROUP}[ \t]+{_NAME_GROUP}[ \t]+{_NAME_GROUP}", MeasureAngle),
 }
 
 
 @functools.cache
 def _line_patterns() -> dict:
-    """keyword -> (its whole-line fullmatch, its builder), compiled on the
-    first parse: most vesica commands never parse."""
+    """keyword -> (its whole-line fullmatch, its count of name groups, its
+    builder), compiled on the first parse: most vesica commands never parse."""
     return {
-        keyword: (re.compile(rf"[ \t]*{keyword}[ \t]+{_NAME}{tail}[ \t]*(?:\#.*)?").fullmatch, build)
+        keyword: (re.compile(rf"[ \t]*{keyword}[ \t]+{_NAME_GROUP}{tail}[ \t]*(?:\#.*)?").fullmatch,
+                  1 + tail.count(_NAME_GROUP), build)
         for keyword, (tail, build) in _LINE_FORMS.items()
     }
 
 
 def _matched_statement(line: str) -> Statement | None:
     """The statement that the whole-line pattern of `line`'s first word
-    builds, or None when there is no such pattern, it does not match or a
-    group fails its builder's check."""
+    builds, or None when there is no such pattern, it does not match, a name
+    group holds a reserved word or a group fails its builder's check."""
     words = line.split(None, 1)
     form = _line_patterns().get(words[0]) if words else None
     match = form[0](line) if form is not None else None
-    return form[1](*match.groups()) if match is not None else None
+    if match is None:
+        return None
+    groups = match.groups()
+    return form[2](*groups) if _KEYWORDS.isdisjoint(groups[:form[1]]) else None
 
 
 def _cursor_statement(line: str, lineno: int) -> Statement | None:
@@ -492,7 +483,7 @@ def _num_text(num: Num) -> str:
         return ("-" + num.symbol) if num.value < 0 else num.symbol
     v = num.value
     if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
+        return "%.0f" % v  # exact below 1e16, and -0.0 keeps its sign
     return repr(v)
 
 

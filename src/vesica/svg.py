@@ -120,23 +120,17 @@ def _bounds_of(points, curves) -> tuple[float, float, float, float]:
     return min(xs), min(ys), max(xs), max(ys)
 
 
-def _clip_line(line: Line, box: tuple[float, float, float, float]):
-    """Clip an infinite line to a rectangle; returns endpoints or None."""
+def _clip_line(line: Line, box: tuple[float, float, float, float]) -> tuple[Point, Point]:
+    """Clip an infinite line to a rectangle that holds its anchor `p`, as the
+    padded canvas holds every anchor, so the clip is never empty."""
     x0, y0, x1, y1 = box
     px, py = line.p.x, line.p.y
     dx, dy = line.q.x - px, line.q.y - py
     t_low, t_high = -math.inf, math.inf
     for delta, start, lo, hi in ((dx, px, x0, x1), (dy, py, y0, y1)):
-        if delta == 0.0:
-            if not lo <= start <= hi:
-                return None
-            continue
-        ta, tb = (lo - start) / delta, (hi - start) / delta
-        if ta > tb:
-            ta, tb = tb, ta
-        t_low, t_high = max(t_low, ta), min(t_high, tb)
-    if t_low > t_high:
-        return None
+        if delta != 0.0:
+            ta, tb = sorted(((lo - start) / delta, (hi - start) / delta))
+            t_low, t_high = max(t_low, ta), min(t_high, tb)
     return (
         Point(px + t_low * dx, py + t_low * dy),
         Point(px + t_high * dx, py + t_high * dy),
@@ -159,8 +153,6 @@ def render_svg(fig: Figure, labels: bool = True) -> str:
             body.append(canvas.circle(curve.center, curve.radius))
             continue
         clipped = _clip_line(curve, (canvas.x0, canvas.y0, canvas.x1, canvas.y1))
-        if clipped is None:
-            continue
         (ax, ay), (bx, by) = map(canvas.xy, clipped)
         body.append(
             f'<line x1="{fixed(ax, _DECIMALS)}" y1="{fixed(ay, _DECIMALS)}" '

@@ -160,4 +160,5 @@ MALFORMED_PROGRAMS = [
     ("intersect V = c1", 1, 17),
     ("point A = (0, 0)\nline L = A B extra", 2, 14),
     ("# nothing here\n", 1, 1),
+    ("( A = B", 1, 1),
 ]

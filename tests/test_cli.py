@@ -221,6 +221,16 @@ def test_run_reports_a_stray_character_after_long_blank_runs(capsys, tmp_path):
     assert err == "error: line 2, column 1000014: unexpected character ';'\n"
 
 
+@pytest.mark.parametrize("line, column", [("point B = (\u0661\u0662, 0)", 12),
+                                          ("divide F = A B \uff19 2", 16)])
+def test_run_rejects_a_non_ascii_digit(capsys, tmp_path, line, column):
+    path = tmp_path / "digits.euc"
+    path.write_text(f"point A = (0, 0)\n{line}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: line 2, column {column}: unexpected character {line[column - 1]!r}\n"
+
+
 def test_run_crlf_file_prints_the_scalars_of_its_lf_twin(capsys, tmp_path):
     text = format_program(tempier_program(17))
     lf, crlf = tmp_path / "lf.euc", tmp_path / "crlf.euc"

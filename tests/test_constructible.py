@@ -12,6 +12,7 @@ from vesica.constructible import (
     constructible_up_to,
     is_fermat_prime,
 )
+from vesica.geometry import VesicaError
 
 # Independent oracle: naive trial-division factorization, then test each odd
 # prime for p-1 being a power of two with exponent one.
@@ -114,6 +115,8 @@ def test_check_input_validation():
         check(FACTOR_LIMIT + 1)
     with pytest.raises(OverflowError):
         constructible_up_to(FACTOR_LIMIT + 1)
+    with pytest.raises(VesicaError, match="^limit must be at least 3, got 2$"):
+        constructible_up_to(2)
 
 
 @pytest.mark.parametrize("n", [9.0, 7.5])

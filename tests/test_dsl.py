@@ -164,6 +164,21 @@ def test_lines_end_at_lf_only():
     assert (err.value.line, err.value.column) == (2, 11)
 
 
+@pytest.mark.parametrize("line, column", [
+    ("point B = (\u0661\u0662, 0)", 12),  # Arabic-Indic 12
+    ("divide F = A B \uff19 2", 16),  # fullwidth 9
+])
+def test_a_number_is_written_in_ascii_digits(line, column):
+    message = f"line 1, column {column}: unexpected character {line[column - 1]!r}"
+    with pytest.raises(ParseError) as err:
+        parse(line)
+    assert str(err.value) == message
+    assert dsl._matched_statement(line) is None
+    with pytest.raises(ParseError) as err:
+        dsl._cursor_statement(line, 1)
+    assert str(err.value) == message
+
+
 def test_parse_empty_program():
     with pytest.raises(ParseError):
         parse("")
@@ -201,6 +216,7 @@ MALFORMED_MESSAGES = [
     "line 1, column 17: expected a name, found end of line",
     "line 2, column 14: unexpected trailing token 'extra'",
     "line 1, column 1: program contains no statements",
+    "line 1, column 1: expected a statement keyword, found '('",
 ]
 
 
@@ -240,6 +256,19 @@ def test_roundtrip_on_handwritten_corpus():
     for text in HANDWRITTEN_PROGRAMS:
         program = parse(text)
         assert parse(format_program(program)) == program
+
+
+def test_negative_zero_survives_a_round_trip():
+    # == cannot tell Num(-0.0) from Num(0.0); repr can.
+    program = parse("point A = (-0.0, 0)\npoint B = (0, -0e5)")
+    text = format_program(program)
+    assert text == "point A = (-0, 0)\npoint B = (0, -0)\n"
+    assert repr(parse(text)) == repr(program)
+
+
+def test_format_statement_rejects_a_non_statement():
+    with pytest.raises(TypeError, match="^not a statement: <object object at "):
+        format_statement(object())
 
 
 def test_format_preserves_symbolic_tokens():
@@ -627,7 +656,9 @@ _programs = st.builds(lambda stmts: Program(tuple(stmts)), st.lists(_statements,
 
 @given(program=_programs)
 def test_roundtrip_on_generated_programs(program):
-    assert parse(format_program(program)) == program
+    parsed = parse(format_program(program))
+    assert parsed == program
+    assert repr(parsed) == repr(program)  # the sign of a zero too
 
 
 # --- whole-line patterns against the cursor ---------------------------------------
@@ -711,7 +742,14 @@ def test_line_patterns_agree_with_the_cursor(spelled, newline):
         slow = dsl._cursor_statement(line, 1)
         assert (type(fast), repr(fast)) == (type(slow), repr(slow)), line
     text = f"# heading{newline}point O = (0, 0){newline}{line}{newline}"
-    assert _outcome(text) == _cursor_only_outcome(text)
+    outcome = _outcome(text)
+    assert outcome == _cursor_only_outcome(text)
+    code = line.split("#", 1)[0]
+    unicode_digits = [i for i, char in enumerate(code, start=1) if char.isdecimal() and not char.isascii()]
+    if unicode_digits:  # a number is written in ASCII digits
+        assert fast is None
+        error = re.fullmatch(r"line 3, column (\d+): unexpected character .*", outcome)
+        assert error is not None and int(error[1]) <= unicode_digits[0], (line, outcome)
 
 
 _GAP = " \t" * 50_000  # 100 000 blanks

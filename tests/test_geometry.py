@@ -330,6 +330,12 @@ def test_rotate_by_hexagon_angle():
     assert p.y == pytest.approx(-SQRT3 / 2, abs=1e-12)  # counterclockwise from west
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_rotate_rejects_a_non_finite_angle(theta):
+    with pytest.raises(VesicaError, match="^rotation angle must be finite"):
+        rotate(Point(1, 0), Point(0, 0), theta)
+
+
 def test_distance_examples():
     assert distance(Point(0, 0), Point(0, SQRT3)) == SQRT3
     assert distance(Point(0.3, -0.4), Point(0.3, -0.4)) == 0.0
