@@ -21,10 +21,11 @@ An intersect statement with one result name defaults to selector ``first``;
 with two result names it binds both intersection points in kernel order and
 admits no pick clause.
 
-``parse`` reads each line in two steps, both built from one definition of each
-token: one whole-line pattern per statement keyword takes the common spellings
-and builds the statement from its groups; any other line goes to a token
-cursor, which reads every spelling and owns every ParseError.
+``parse`` skips blank and comment lines and reads each other line in two steps,
+both built from one definition of each token: one whole-line pattern per
+statement keyword takes every canonical line and other common spellings and
+builds the statement from its groups; any other line goes to a token cursor,
+which reads every spelling and owns every ParseError.
 
 ``parse`` -> ``format_program`` round-trips structurally; ``evaluate`` runs a
 program against the geometry kernel and returns a ``Figure``.  Name scoping
@@ -123,6 +124,8 @@ class Num(_Record):
             raise VesicaError(f"numeric literal must be finite, got {value}")
         if symbol is not None and symbol not in _SYMBOLIC:
             raise VesicaError(f"unknown symbolic literal {symbol!r}")
+        if symbol is not None and abs(value) != _SYMBOLIC[symbol]:  # it would print another value
+            raise VesicaError(f"symbolic literal {symbol!r} is ±{_SYMBOLIC[symbol]}, got {value}")
         _set_value(self, value)
         _set_symbol(self, symbol)
 
@@ -235,6 +238,13 @@ _NUMBER = r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?
 _TOKEN_RE = re.compile(rf"[ \t]+|\#.*|(?P<number>{_NUMBER})|(?P<name>{_NAME})|(?P<sym>[=(),-])|(?P<bad>.)")
 
 
+def _literal(negative, text: str) -> Num | None:
+    """The Num of a number, pi or sqrt3 token, negated if `negative`; None past a float's range."""
+    symbol = text if text in _SYMBOLIC else None
+    value = _SYMBOLIC[text] if symbol else float(text)
+    return Num(-value if negative else value, symbol) if math.isfinite(value) else None
+
+
 class _Cursor:
     """Walks one line's (kind, text, column) tokens, ending in an "end" token."""
 
@@ -271,21 +281,14 @@ class _Cursor:
 
     def num(self) -> Num:
         negative = self.at("sym", "-")
-        if negative:
-            self.pos += 1
+        self.pos += negative
         kind, text, _ = self.tokens[self.pos]
-        if kind == "name" and text in _SYMBOLIC:
-            value = _SYMBOLIC[text]
-            symbol = text
-        elif kind == "number":
-            value = float(text)
-            if not math.isfinite(value):
-                raise self.fail(f"numeric literal out of range: {text}")
-            symbol = None
-        else:
+        if kind != "number" and text not in _SYMBOLIC:  # no other token's text is pi or sqrt3
             raise self.fail(f"expected a number, found {self.found()}")
+        if (num := _literal(negative, text)) is None:
+            raise self.fail(f"numeric literal out of range: {text}")
         self.pos += 1
-        return Num(-value if negative else value, symbol)
+        return num
 
     def int(self) -> int:
         column = self.tokens[self.pos][2]
@@ -363,24 +366,22 @@ class _Cursor:
         return stmt
 
 
-# Whole-line patterns: one per statement keyword, each matching the common
-# spellings of its statement (blanks, a trailing comment, plain divide counts)
+# Whole-line patterns: one per statement keyword, each matching every line
+# format_program writes and other common spellings (blanks, a trailing comment)
 # and nothing the cursor would read differently.  A line they miss, a reserved
 # word in a name group, or groups that fail the builder's check send the line
 # to the cursor, so they never raise.  Linear time: no two blank runs may meet
 # around an optional token, as in `[ \t]*-?[ \t]*`, whose split of n blanks
 # the later tokens would retry n ways; so a sign is `(?:(-)[ \t]*)?`.
 _NAME_GROUP = f"({_NAME})"
-_SIGNED_NUMBER = rf"(?:(-)[ \t]*)?({_NUMBER})"
-_COUNT = r"(0|[1-9][0-9]{0,15})"  # plain counts only; int() of one is the cursor's n
+_SIGNED_NUMBER = rf"(?:(-)[ \t]*)?({_NUMBER}|pi|sqrt3)"
+_COUNT = r"(0|[1-9][0-9]{0,307})"  # plain counts below 10**308: int() of one is the cursor's n
 _KIND_GROUP = f"({'|'.join(sorted(_SELECTOR_KINDS - {'near'}))})"
 
 
 def _point_line(name, x_minus, x, y_minus, y):
-    x, y = float(x), float(y)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return None
-    return PointDef(name, Num(-x if x_minus else x), Num(-y if y_minus else y))
+    x, y = _literal(x_minus, x), _literal(y_minus, y)
+    return None if x is None or y is None else PointDef(name, x, y)
 
 
 def _circle_line(name, center, rad_from, through):
@@ -436,16 +437,13 @@ def _matched_statement(line: str) -> Statement | None:
     return form[2](*groups) if _KEYWORDS.isdisjoint(groups[:form[1]]) else None
 
 
-def _cursor_statement(line: str, lineno: int) -> Statement | None:
-    """The statement on `line` read token by token; None for a blank or
-    comment line.  Raises ParseError at the first offending token."""
+def _cursor_statement(line: str, lineno: int) -> Statement:
+    """The statement on `line` read token by token; raises ParseError at the first offending token."""
     tokens = [
         (m.lastgroup, m.group(), m.start() + 1)
         for m in _TOKEN_RE.finditer(line)
         if m.lastgroup
     ]
-    if not tokens:
-        return None
     for kind, char, column in tokens:
         if kind == "bad":
             raise ParseError(lineno, column, f"unexpected character {char!r}")
@@ -457,9 +455,10 @@ def parse(text: str) -> Program:
     """Parse program text; raises ParseError at the first offending token.
 
     Lines end at LF; CRs at the end of a line are dropped, so CRLF text
-    parses the same.  Each line is read in two steps: the whole-line pattern
-    of its first word builds the statement straight from its groups, and a
-    line that pattern does not take goes to the token cursor, which reads
+    parses the same.  Empty lines and `#` comments after blanks and tabs are
+    skipped before either reader runs.  The whole-line pattern of a line's
+    first word builds its statement from its groups, every canonical line
+    included; a line it does not take goes to the token cursor, which reads
     every spelling and alone raises ParseError.  Both give the same
     statement for every line the pattern takes.
     """
@@ -467,10 +466,8 @@ def parse(text: str) -> Program:
     statements: list[Statement] = []
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\r")
-        stmt = _matched_statement(line)
-        if stmt is None and (stmt := _cursor_statement(line, lineno)) is None:
-            continue
-        statements.append(stmt)
+        if line.lstrip(" \t")[:1] not in ("", "#"):
+            statements.append(_matched_statement(line) or _cursor_statement(line, lineno))
     if not statements:
         raise ParseError(len(lines), 1, "program contains no statements")
     return Program(tuple(statements))

@@ -14,7 +14,7 @@ import math
 import operator
 
 from .dsl import Figure
-from .geometry import Circle, Line, Point, VesicaError
+from .geometry import Circle, Line, Point, VesicaError, rotate
 from .methods import PolygonResult
 
 __all__ = ["EmptyFigure", "render_svg", "render_polygon", "fixed"]
@@ -172,8 +172,7 @@ def render_polygon(result: PolygonResult, labels: bool = True) -> str:
     canvas = _Canvas((-1.0, -1.0, 1.0, 1.0))
     body = [canvas.circle(Point(0.0, 0.0), 1.0)]
     n = len(result.vertices)
-    closing = math.cos(n * result.step_angle), math.sin(n * result.step_angle)
-    ring = list(result.vertices) + [Point(-closing[0], -closing[1])]
+    ring = list(result.vertices) + [rotate(result.vertices[0], Point(0.0, 0.0), n * result.step_angle)]
     pairs = map(canvas.xy, ring)
     points_attr = " ".join(f"{fixed(x, _DECIMALS)},{fixed(y, _DECIMALS)}" for x, y in pairs)
     body.append(f'<polyline points="{points_attr}" fill="none" {_STROKE}/>')

@@ -161,4 +161,5 @@ MALFORMED_PROGRAMS = [
     ("point A = (0, 0)\nline L = A B extra", 2, 14),
     ("# nothing here\n", 1, 1),
     ("( A = B", 1, 1),
+    ("\x0c", 1, 1),  # a form feed is not a blank
 ]

@@ -345,6 +345,20 @@ def test_check_too_small(capsys):
     assert code == 2 and err != ""
 
 
+@pytest.mark.parametrize("argv, status, out", [
+    (["check", "60"], 0, "60: constructible (60 = 2^2 * 3 * 5)\n"),
+    (["check"], 1, ""),
+    (["check", "2"], 2, ""),
+])
+def test_console_script_exits_with_mains_status(argv, status, out):
+    # pyproject.toml's `vesica` script calls cli.run, which exits with main's status.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", "from vesica.cli import run; run()", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (status, out)
+    assert (done.stderr == "") == (status == 0)
+
+
 # --- rectify ---------------------------------------------------------------------------
 
 def test_rectify_default_rows(capsys):

@@ -217,6 +217,7 @@ MALFORMED_MESSAGES = [
     "line 2, column 14: unexpected trailing token 'extra'",
     "line 1, column 1: program contains no statements",
     "line 1, column 1: expected a statement keyword, found '('",
+    "line 1, column 1: unexpected character '\\x0c'",
 ]
 
 
@@ -733,10 +734,9 @@ def _spelled_lines(draw):
 def test_line_patterns_agree_with_the_cursor(spelled, newline):
     # repr, not ==, tells Num(-0.0) from Num(0.0).
     canonical, line = spelled
-    if not re.search(r"\b(?:pi|sqrt3)\b", canonical):
-        taken = dsl._matched_statement(canonical)
-        assert taken is not None, canonical
-        assert repr(taken) == repr(dsl._cursor_statement(canonical, 1))
+    taken = dsl._matched_statement(canonical)  # the patterns take every canonical line
+    assert taken is not None, canonical
+    assert repr(taken) == repr(dsl._cursor_statement(canonical, 1))
     fast = dsl._matched_statement(line)
     if fast is not None:
         slow = dsl._cursor_statement(line, 1)
@@ -750,6 +750,36 @@ def test_line_patterns_agree_with_the_cursor(spelled, newline):
         assert fast is None
         error = re.fullmatch(r"line 3, column (\d+): unexpected character .*", outcome)
         assert error is not None and int(error[1]) <= unicode_digits[0], (line, outcome)
+
+
+@pytest.mark.parametrize("line", ["point A = (-pi, sqrt3)", "point B = ( - sqrt3 , pi )"])
+def test_line_patterns_read_symbolic_literals(line):
+    taken = dsl._matched_statement(line)
+    assert taken is not None
+    assert repr(taken) == repr(dsl._cursor_statement(line, 1))
+
+
+def test_blank_and_comment_lines_never_reach_a_reader():
+    text = "\n\t\n# heading\n  \t# indented\npoint A = (0, 0)\n \n\t#\npoint B = (1, 0)\n\n# end\n"
+    with mock.patch.object(dsl, "_cursor_statement", side_effect=AssertionError("cursor ran")):
+        program = parse(text)
+    assert program == Program((PointDef("A", Num(0.0), Num(0.0)), PointDef("B", Num(1.0), Num(0.0))))
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_line_patterns_read_method_programs_at_huge_n(method):
+    program = method_program(method, 10**20)
+    lines = format_program(program).splitlines()
+    assert tuple(map(dsl._matched_statement, lines)) == program.statements
+
+
+def test_line_patterns_read_counts_below_10_to_the_308():
+    below = f"divide F = A B {'9' * 308} 2"
+    assert repr(dsl._matched_statement(below)) == repr(dsl._cursor_statement(below, 1))
+    at = f"divide F = A B {10**308} 2"
+    assert dsl._matched_statement(at) is None  # the cursor reads it
+    (stmt,) = parse(at).statements
+    assert stmt == Divide("F", "A", "B", 10**308, 2) and type(stmt.n) is int
 
 
 _GAP = " \t" * 50_000  # 100 000 blanks

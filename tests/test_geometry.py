@@ -165,6 +165,8 @@ def test_record_defaults():
     (lambda: Circle(_P, math.inf), "circle radius must be positive, got inf"),
     (lambda: dsl.Num(math.inf), "numeric literal must be finite, got inf"),
     (lambda: dsl.Num(1.0, "e"), "unknown symbolic literal 'e'"),
+    (lambda: dsl.Num(1.0, "pi"), "symbolic literal 'pi' is ±3.141592653589793, got 1.0"),
+    (lambda: dsl.Num(-1.75, "sqrt3"), "symbolic literal 'sqrt3' is ±1.7320508075688772, got -1.75"),
     (lambda: dsl.Selector("top"), "unknown selector kind 'top'"),
     (lambda: dsl.Selector("near"), "selector `near` takes a point name; others take none"),
     (lambda: dsl.Selector("first", "A"), "selector `near` takes a point name; others take none"),
