@@ -218,6 +218,14 @@ class PolygonResult(_Record):
 
     __slots__ = ("vertices", "step_angle", "closure_gap")
 
+    def __init__(self, vertices: tuple[Point, ...], step_angle: float, closure_gap: float) -> None:
+        if not vertices:
+            raise VesicaError("a polygon needs at least one vertex")
+        if not (math.isfinite(step_angle) and math.isfinite(closure_gap)):
+            raise VesicaError(f"a polygon's step angle and closure gap must be finite, "
+                              f"got {step_angle} and {closure_gap}")
+        super().__init__(vertices, step_angle, closure_gap)
+
 
 class RectificationResult(_Record):
     """Implied value of pi when a base point rectifies the quadrant."""

@@ -3,15 +3,16 @@
 The world y-axis points up (math orientation, base point V below the
 diameter); SVG's points down, so the mapping to pixel space flips y.  The
 canvas is 640 px wide, padded by 8 % of the content span.  There are no
-options beyond `labels`: every number prints with two fraction digits through
-the correctly rounded float formatter, exact integer arithmetic deciding ties
-(half away from zero), and the same figure always gives the same bytes.
+options beyond `labels`, and the same figure always gives the same bytes.
+Elements print through `%` templates with `%.2f` numbers, which match `fixed(v, 2)`,
+the exact rule, except at ties and -0.00; those values go through `fixed` itself.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from itertools import chain
 
 from .dsl import Figure
 from .geometry import Circle, Line, Point, VesicaError, rotate
@@ -19,14 +20,25 @@ from .methods import PolygonResult
 
 __all__ = ["EmptyFigure", "render_svg", "render_polygon", "fixed"]
 
-_WIDTH_PX = 640
+_WIDTH_PX = 640.0
 _MARGIN = 0.08  # padding as a fraction of the content span
 _MARKER = 3.0 * 1.5  # side of a point's square marker: three stroke widths
+_HALF, _OFFSET = _MARKER / 2, _MARKER + 2.0  # a marker's corner and its label, off the point
 _STROKE = 'stroke="#000000" stroke-width="1.50"'
 _LABEL = 'font-family="monospace" font-size="12" fill="#555555"'
-_DECIMALS = 2
-_SVG_NS = 'xmlns="http://www.w3.org/2000/svg" version="1.1"'
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_remainder = (0.25).__rmod__  # v % 0.25 for a number; NotImplemented, equal to nothing, for a str
+
+# The element templates: every %.2f takes a float, every %s an escaped name.
+_HEAD = ('<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" '
+         'version="1.1" width="%.2f" height="%.2f" viewBox="0 0 %.2f %.2f">\n')
+_CIRCLE = f'<circle cx="%.2f" cy="%.2f" r="%.2f" fill="none" {_STROKE}/>'
+_LINE = f'<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" {_STROKE}/>'
+_RECT = '<rect x="%%.2f" y="%%.2f" width="%.2f" height="%.2f" fill="#000000"/>' % (_MARKER, _MARKER)
+_NAMED = _RECT + f'\n<text x="%.2f" y="%.2f" {_LABEL}>%s</text>'  # a marker and its label
+_VERTEX = _NAMED.replace(">%s<", ">V%d<")  # a polygon's k-th marker, labelled Vk
+_POLYLINE = f'<polyline points="%s" fill="none" {_STROKE}/>'  # %s: one "%.2f,%.2f" per vertex
+_GAP = f'\n<text x="8.00" y="16.00" {_LABEL}>closure gap %s rad</text>'
 
 
 class EmptyFigure(VesicaError):
@@ -35,7 +47,8 @@ class EmptyFigure(VesicaError):
 
 def fixed(value: float, decimals: int) -> str:
     """Format with exactly `decimals` fraction digits, ties away from zero, never -0:
-    floats by the correctly rounded formatter, ties, ints and -0 by exact integers."""
+    floats by the correctly rounded formatter, ties, ints and -0 by exact integers.
+    This is the exact rule for every SVG number, and the renderers' fallback."""
     if not math.isfinite(value):
         raise VesicaError(f"cannot format the non-finite value {value}")
     if operator.index(decimals) < 0:
@@ -55,9 +68,26 @@ def fixed(value: float, decimals: int) -> str:
     return sign + digits[:cut] + ("." + digits[cut:] if decimals else "")
 
 
+def _numbers(template: str, values: list) -> str:
+    """`template % values`, each float as `fixed(v, 2)` prints it: `%.2f` does but for ties
+    (odd multiples of 1/8), -0.00 and non-finite values; where one may show, `_exact` does."""
+    text = template % tuple(values)
+    if "-0.00" in text or "inf" in text or 0.125 in map(_remainder, values):
+        texts = [_exact(v) if isinstance(v, float) else v for v in values]
+        return template.replace("%.2f", "%s") % tuple(texts)
+    return text
+
+
+def _exact(value: float) -> str:
+    """The text of `fixed(value, 2)`.  `fixed` itself runs only for a tie, a value
+    not above 0 or a non-finite one; `%.2f` prints every other value the same."""
+    if 0.0 < value < math.inf and _remainder(value) != 0.125:
+        return "%.2f" % value
+    return fixed(value, 2)
+
+
 class _Canvas:
     """World-to-pixel mapping over a padded bounding box, y flipped."""
-    _size = fixed(_MARKER, _DECIMALS)  # the side of every marker, formatted once
 
     def __init__(self, bounds: tuple[float, float, float, float]):
         x0, y0, x1, y1 = bounds
@@ -72,44 +102,21 @@ class _Canvas:
         self.scale = _WIDTH_PX / (self.x1 - self.x0)
         self.height = (self.y1 - self.y0) * self.scale
         if not (0.0 < self.scale < math.inf and self.height < math.inf):
-            raise VesicaError(
-                f"cannot scale a figure spanning x {bounds[0]!r}..{bounds[2]!r}, "
-                f"y {bounds[1]!r}..{bounds[3]!r} to {_WIDTH_PX} px"
-            )
+            raise VesicaError(f"cannot scale a figure spanning x {bounds[0]!r}..{bounds[2]!r}, "
+                              f"y {bounds[1]!r}..{bounds[3]!r} to {_WIDTH_PX:.0f} px")
 
     def xy(self, p: Point) -> tuple[float, float]:
         return (p.x - self.x0) * self.scale, (self.y1 - p.y) * self.scale
 
-    def circle(self, center: Point, radius: float) -> str:
-        cx, cy = self.xy(center)
-        return (
-            f'<circle cx="{fixed(cx, _DECIMALS)}" cy="{fixed(cy, _DECIMALS)}" '
-            f'r="{fixed(radius * self.scale, _DECIMALS)}" fill="none" {_STROKE}/>'
-        )
-
-    def marker(self, name: str, p: Point, labels: bool) -> list[str]:
-        cx, cy = self.xy(p)
-        x, y = cx - _MARKER / 2, cy - _MARKER / 2
-        out = [f'<rect x="{fixed(x, _DECIMALS)}" y="{fixed(y, _DECIMALS)}" '
-               f'width="{self._size}" height="{self._size}" fill="#000000"/>']
-        if labels:
-            x, y = cx + (_MARKER + 2.0), cy - (_MARKER + 2.0)
-            out.append(f'<text x="{fixed(x, _DECIMALS)}" y="{fixed(y, _DECIMALS)}" '
-                       f"{_LABEL}>{name.translate(_XML_ESCAPES)}</text>")
-        return out
-
-    def document(self, body: list[str]) -> str:
-        w, h = fixed(_WIDTH_PX, _DECIMALS), fixed(self.height, _DECIMALS)
-        head = f'<svg {_SVG_NS} width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
-        return f'<?xml version="1.0" encoding="UTF-8"?>\n{head}\n' + "\n".join(body) + "\n</svg>\n"
+    def document(self, body: list[str], values: list, tail: str = "") -> str:
+        """The head and the body's templates filled with `values`, then `tail`."""
+        head = [_WIDTH_PX, self.height, _WIDTH_PX, self.height]
+        return _numbers(_HEAD + "\n".join(body), head + values) + tail + "\n</svg>\n"
 
 
 def _bounds_of(points, curves) -> tuple[float, float, float, float]:
-    xs: list[float] = []
-    ys: list[float] = []
-    for p in points:
-        xs.append(p.x)
-        ys.append(p.y)
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
     for curve in curves:
         if isinstance(curve, Circle):
             xs += [curve.center.x - curve.radius, curve.center.x + curve.radius]
@@ -131,10 +138,15 @@ def _clip_line(line: Line, box: tuple[float, float, float, float]) -> tuple[Poin
         if delta != 0.0:
             ta, tb = sorted(((lo - start) / delta, (hi - start) / delta))
             t_low, t_high = max(t_low, ta), min(t_high, tb)
-    return (
-        Point(px + t_low * dx, py + t_low * dy),
-        Point(px + t_high * dx, py + t_high * dy),
-    )
+    return Point(px + t_low * dx, py + t_low * dy), Point(px + t_high * dx, py + t_high * dy)
+
+
+def _marks(pixels, names):
+    """The values of a marker at each pixel pair, then of its label if `names` is given."""
+    if names is None:
+        return chain.from_iterable([(x - _HALF, y - _HALF) for x, y in pixels])
+    return chain.from_iterable([(x - _HALF, y - _HALF, x + _OFFSET, y - _OFFSET, name)
+                                for (x, y), name in zip(pixels, names)])
 
 
 def render_svg(fig: Figure, labels: bool = True) -> str:
@@ -148,19 +160,19 @@ def render_svg(fig: Figure, labels: bool = True) -> str:
         raise EmptyFigure("figure has no points or curves to render")
     canvas = _Canvas(_bounds_of(fig.points.values(), fig.curves.values()))
     body: list[str] = []
+    values: list = []
+    box = (canvas.x0, canvas.y0, canvas.x1, canvas.y1)
     for curve in fig.curves.values():
         if isinstance(curve, Circle):
-            body.append(canvas.circle(curve.center, curve.radius))
-            continue
-        clipped = _clip_line(curve, (canvas.x0, canvas.y0, canvas.x1, canvas.y1))
-        (ax, ay), (bx, by) = map(canvas.xy, clipped)
-        body.append(
-            f'<line x1="{fixed(ax, _DECIMALS)}" y1="{fixed(ay, _DECIMALS)}" '
-            f'x2="{fixed(bx, _DECIMALS)}" y2="{fixed(by, _DECIMALS)}" {_STROKE}/>'
-        )
-    for name, point in fig.points.items():
-        body.extend(canvas.marker(name, point, labels))
-    return canvas.document(body)
+            body.append(_CIRCLE)
+            values += (*canvas.xy(curve.center), curve.radius * canvas.scale)
+        else:
+            body.append(_LINE)
+            values += chain.from_iterable(map(canvas.xy, _clip_line(curve, box)))
+    names = [name.translate(_XML_ESCAPES) for name in fig.points] if labels else None
+    values += _marks(map(canvas.xy, fig.points.values()), names)
+    body += [_NAMED if labels else _RECT] * len(fig.points)
+    return canvas.document(body, values)
 
 
 def render_polygon(result: PolygonResult, labels: bool = True) -> str:
@@ -170,15 +182,13 @@ def render_polygon(result: PolygonResult, labels: bool = True) -> str:
     mismatch against the starting vertex is the visible closure gap.
     """
     canvas = _Canvas((-1.0, -1.0, 1.0, 1.0))
-    body = [canvas.circle(Point(0.0, 0.0), 1.0)]
     n = len(result.vertices)
-    ring = list(result.vertices) + [rotate(result.vertices[0], Point(0.0, 0.0), n * result.step_angle)]
-    pairs = map(canvas.xy, ring)
-    points_attr = " ".join(f"{fixed(x, _DECIMALS)},{fixed(y, _DECIMALS)}" for x, y in pairs)
-    body.append(f'<polyline points="{points_attr}" fill="none" {_STROKE}/>')
-    for k, v in enumerate(result.vertices):
-        body.extend(canvas.marker(f"V{k}", v, labels))
+    ring = [*result.vertices, rotate(result.vertices[0], Point(0.0, 0.0), n * result.step_angle)]
+    pixels = list(map(canvas.xy, ring))  # each vertex's pixel pair, for the ring and its marker
+    values = [*canvas.xy(Point(0.0, 0.0)), canvas.scale, *chain.from_iterable(pixels)]
+    values += _marks(pixels[:n], range(n) if labels else None)
     gap = fixed(result.closure_gap, 6)
     gap = gap if gap[0] == "-" else "+" + gap  # a gap printing as zero reads +0.000000
-    body.append(f'<text x="8.00" y="16.00" {_LABEL}>closure gap {gap} rad</text>')
-    return canvas.document(body)
+    polyline = _POLYLINE % " ".join(["%.2f,%.2f"] * (n + 1))
+    marks = [_VERTEX if labels else _RECT] * n
+    return canvas.document([_CIRCLE, polyline, *marks], values, _GAP % gap)

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vesica.dsl import evaluate, format_program, parse
+from vesica.geometry import VesicaError
 from vesica.methods import (
     DomainError,
     Method,
+    PolygonResult,
     SQRT3,
     UnsupportedN,
     _closed_form,
@@ -314,6 +316,19 @@ def test_polygon_vertices_on_unit_circle_with_equal_steps():
     for a, b in zip(result.vertices, result.vertices[1:]):
         step = angle(Point(*center), a, b)
         assert step == pytest.approx(result.step_angle, abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "vertices, step_angle, closure_gap, message",
+    [((), 1.0, 0.0, "at least one vertex"),
+     (None, math.nan, 0.0, "must be finite, got nan and 0.0"),
+     (None, 1.0, math.inf, "must be finite, got 1.0 and inf"),
+     (None, -math.inf, 0.0, "must be finite, got -inf and 0.0")],
+)
+def test_polygon_result_rejects_bad_arguments(vertices, step_angle, closure_gap, message):
+    square = polygon(Method.BION, 4).vertices
+    with pytest.raises(VesicaError, match=message):
+        PolygonResult(square if vertices is None else vertices, step_angle, closure_gap)
 
 
 # --- tables ----------------------------------------------------------------------

@@ -17,7 +17,8 @@ from vesica.cli import main
 from vesica.dsl import Figure, Num, PointDef, Program, evaluate, format_program, parse
 from vesica.geometry import Circle, Line, Point, VesicaError
 from vesica.methods import Method, PolygonResult, bion_program, method_program, polygon
-from vesica.svg import EmptyFigure, fixed, render_polygon, render_svg
+from vesica import svg
+from vesica.svg import EmptyFigure, _numbers, fixed, render_polygon, render_svg
 
 
 def _fixed_oracle(value: float, decimals: int) -> str:
@@ -248,6 +249,85 @@ def test_labels_are_xml_escaped():
     root = ET.fromstring(render_svg(fig))
     (text,) = root.iter("{http://www.w3.org/2000/svg}text")
     assert text.text == "a<b&"
+
+
+def _filled_by_fixed(template, values):
+    """`template` with each float as `fixed(v, 2)` prints it: what `_numbers` must return."""
+    texts = tuple(fixed(v, 2) if isinstance(v, float) else v for v in values)
+    return template.replace("%.2f", "%s") % texts
+
+
+# odd multiples of 1/8, the ties at two decimals, from 0.125 up to just past 2**40
+_TIES = [sign * (2 * m + 1) / 8 for sign in (1, -1)
+         for m in (0, 9, 18, 12345, 2**20 + 3, 2**42 + 1)]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [*_TIES, *(math.nextafter(t, d) for t in _TIES for d in (-math.inf, math.inf)),
+     -0.0, 0.0, -0.004, -0.005, -1e-300, -5e-324, 123.456789],
+)
+def test_numbers_print_ties_and_negative_zero_as_fixed_does(value):
+    template = '<rect x="%.2f"/>'
+    assert _numbers(template, [value]) == _filled_by_fixed(template, [value])
+
+
+def test_numbers_print_one_tie_among_several_values_as_fixed_does():
+    assert 2.0**40 < max(_TIES) < 2.0**40 + 1
+    assert "%.2f" % 0.125 == "0.12" != fixed(0.125, 2) == "0.13"  # % rounds a tie half to even
+    template = '<a x="%.2f" y="%.2f" z="%.2f">%s V%d</a>'
+    values = [1.005, -2.375, 0.123456, "n", 7]
+    for tie in (0.125, 2.375, -4.625):
+        values[1] = tie
+        assert _numbers(template, values) == _filled_by_fixed(template, values)
+
+
+def test_numbers_reject_a_non_finite_value():
+    with pytest.raises(VesicaError, match="non-finite"):
+        _numbers("%.2f %.2f", [1.0, math.inf])
+
+
+_coords = st.floats(-1e3, 1e3, allow_nan=False)
+_points = st.builds(Point, _coords, _coords)
+
+
+@st.composite
+def _figures(draw):
+    names = st.text("ABCxyz_0123%<&-", min_size=1, max_size=4)
+    points = draw(st.dictionaries(names, _points, max_size=6))
+    curves = {}
+    for i, (a, b) in enumerate(draw(st.lists(st.tuples(_points, _points), max_size=4))):
+        span = math.dist((a.x, a.y), (b.x, b.y))
+        if span > 1e-6:  # a circle around a through b, or the line through both
+            curves[f"c{i}"] = Circle(a, span) if i % 2 else Line(a, b)
+    if not points and not curves:
+        points["P"] = draw(_points)
+    return Figure(points=points, curves=curves)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_figures(), st.tuples(st.sampled_from(Method), st.integers(4, 2000))),
+       st.booleans())
+def test_templates_print_the_bytes_fixed_prints(drawing, labels):
+    """Every document prints the same with each value through `fixed`, as for a tie."""
+    def render():
+        if isinstance(drawing, Figure):
+            return render_svg(drawing, labels=labels)
+        return render_polygon(polygon(*drawing), labels=labels)
+
+    fast = render()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(svg, "_remainder", lambda value: 0.125)  # every value reads as a tie
+        assert render() == fast
+
+
+def test_names_with_percent_signs_print_verbatim():
+    names = ["100%", "%s%d", "a<b&%"]
+    fig = Figure(points={name: Point(float(i), -float(i)) for i, name in enumerate(names)})
+    root = ET.fromstring(render_svg(fig))
+    ns = "{http://www.w3.org/2000/svg}"
+    assert [text.text for text in root.iter(ns + "text")] == names
+    assert len(list(root.iter(ns + "rect"))) == len(fig.points)
 
 
 # sha256 of every document below and the CLI's stdout beside each file it
