@@ -5,7 +5,7 @@ diameter); SVG's points down, so the mapping to pixel space flips y.  The
 canvas is 640 px wide, padded by 8 % of the content span.  There are no
 options beyond `labels`, and the same figure always gives the same bytes.
 Elements print through `%` templates with `%.2f` numbers, which match `fixed(v, 2)`,
-the exact rule, except at ties and -0.00; those values go through `fixed` itself.
+the exact rule, except at ties and -0.00; a fill that holds one prints through `fixed`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ _HALF, _OFFSET = _MARKER / 2, _MARKER + 2.0  # a marker's corner and its label, 
 _STROKE = 'stroke="#000000" stroke-width="1.50"'
 _LABEL = 'font-family="monospace" font-size="12" fill="#555555"'
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
-_remainder = (0.25).__rmod__  # v % 0.25 for a number; NotImplemented, equal to nothing, for a str
 
 # The element templates: every %.2f takes a float, every %s an escaped name.
 _HEAD = ('<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" '
@@ -38,7 +37,7 @@ _RECT = '<rect x="%%.2f" y="%%.2f" width="%.2f" height="%.2f" fill="#000000"/>' 
 _NAMED = _RECT + f'\n<text x="%.2f" y="%.2f" {_LABEL}>%s</text>'  # a marker and its label
 _VERTEX = _NAMED.replace(">%s<", ">V%d<")  # a polygon's k-th marker, labelled Vk
 _POLYLINE = f'<polyline points="%s" fill="none" {_STROKE}/>'  # %s: one "%.2f,%.2f" per vertex
-_GAP = f'\n<text x="8.00" y="16.00" {_LABEL}>closure gap %s rad</text>'
+_GAP = f'<text x="8.00" y="16.00" {_LABEL}>closure gap %s rad</text>'
 
 
 class EmptyFigure(VesicaError):
@@ -69,21 +68,13 @@ def fixed(value: float, decimals: int) -> str:
 
 
 def _numbers(template: str, values: list) -> str:
-    """`template % values`, each float as `fixed(v, 2)` prints it: `%.2f` does but for ties
-    (odd multiples of 1/8), -0.00 and non-finite values; where one may show, `_exact` does."""
+    """`template % values`, each float as `fixed(v, 2)` prints it: `%.2f` does but for
+    ties (odd multiples of 1/8) and -0.00, so where one shows, `fixed` prints each float."""
     text = template % tuple(values)
-    if "-0.00" in text or "inf" in text or 0.125 in map(_remainder, values):
-        texts = [_exact(v) if isinstance(v, float) else v for v in values]
+    if "-0.00" in text or any(isinstance(v, float) and v % 0.25 == 0.125 for v in values):
+        texts = [fixed(v, 2) if isinstance(v, float) else v for v in values]
         return template.replace("%.2f", "%s") % tuple(texts)
     return text
-
-
-def _exact(value: float) -> str:
-    """The text of `fixed(value, 2)`.  `fixed` itself runs only for a tie, a value
-    not above 0 or a non-finite one; `%.2f` prints every other value the same."""
-    if 0.0 < value < math.inf and _remainder(value) != 0.125:
-        return "%.2f" % value
-    return fixed(value, 2)
 
 
 class _Canvas:
@@ -108,10 +99,10 @@ class _Canvas:
     def xy(self, p: Point) -> tuple[float, float]:
         return (p.x - self.x0) * self.scale, (self.y1 - p.y) * self.scale
 
-    def document(self, body: list[str], values: list, tail: str = "") -> str:
-        """The head and the body's templates filled with `values`, then `tail`."""
+    def document(self, body: list[str], values: list) -> str:
+        """The head and the body's templates filled with `values`."""
         head = [_WIDTH_PX, self.height, _WIDTH_PX, self.height]
-        return _numbers(_HEAD + "\n".join(body), head + values) + tail + "\n</svg>\n"
+        return _numbers(_HEAD + "\n".join(body), head + values) + "\n</svg>\n"
 
 
 def _bounds_of(points, curves) -> tuple[float, float, float, float]:
@@ -166,9 +157,9 @@ def render_svg(fig: Figure, labels: bool = True) -> str:
         if isinstance(curve, Circle):
             body.append(_CIRCLE)
             values += (*canvas.xy(curve.center), curve.radius * canvas.scale)
-        else:
-            body.append(_LINE)
-            values += chain.from_iterable(map(canvas.xy, _clip_line(curve, box)))
+        else:  # filled alone, as a clipped end may print -0.00; the text holds no %
+            a, b = _clip_line(curve, box)
+            body.append(_numbers(_LINE, [*canvas.xy(a), *canvas.xy(b)]))
     names = [name.translate(_XML_ESCAPES) for name in fig.points] if labels else None
     values += _marks(map(canvas.xy, fig.points.values()), names)
     body += [_NAMED if labels else _RECT] * len(fig.points)
@@ -191,4 +182,4 @@ def render_polygon(result: PolygonResult, labels: bool = True) -> str:
     gap = gap if gap[0] == "-" else "+" + gap  # a gap printing as zero reads +0.000000
     polyline = _POLYLINE % " ".join(["%.2f,%.2f"] * (n + 1))
     marks = [_VERTEX if labels else _RECT] * n
-    return canvas.document([_CIRCLE, polyline, *marks], values, _GAP % gap)
+    return canvas.document([_CIRCLE, polyline, *marks, _GAP], [*values, gap])
