@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -811,3 +812,74 @@ def test_line_patterns_run_in_linear_time(tokens, stray):
     else:
         assert outcome == repr(Program((dsl._matched_statement(line),)))
     assert outcome == _cursor_only_outcome(line)
+
+
+# --- pinned parse outcomes ----------------------------------------------------------
+
+# Statement shapes: R is a number slot, I a count slot, K a selector kind.
+_CORPUS_SHAPES = [
+    "point N = ( R , R )", "line N = N N", "circle N = N N", "circle N = N radius N N",
+    "intersect N = N N", "intersect N = N N pick K", "intersect N = N N pick near N",
+    "intersect N N = N N", "divide N = N N I I", "angle N = N N N",
+]
+_CORPUS_NAMES = ["A", "B", "c1", "_x", "P2", "near_", "Pick"]
+_CORPUS_NUMBERS = ["0", "-1", "1.5", "-2e-3", "pi", "-sqrt3", "1e308", "1e400", ".5", "7."]
+_CORPUS_COUNTS = ["9", "2", "0", "-3", "1e30", "-4.5e1", ".5e1", "120e-1", "1.5", "pi", "1e-400",
+                  "1e400", "0e99", "9" * 308, "9" * 309, "1" + "0" * 308, "0" * 400 + "7"]
+_CORPUS_STRAYS = ["x", "7", "-", "=", "(", ")", ",", ";", "#", "\r", "\x0c", "é", "pick", "radius"]
+
+
+def _corpus_line(rng) -> str:
+    """One statement line, respelled: blanks, literal spellings, reserved
+    words, dropped or repeated tokens, a comment, and perhaps a Unicode
+    digit, a stray character or a cut."""
+    tokens = []
+    for slot in rng.choice(_CORPUS_SHAPES).split():
+        if slot == "N":
+            token = rng.choice(_CORPUS_NAMES)
+        elif slot in "RI":
+            token = rng.choice(_literal_spellings(rng.choice(
+                _CORPUS_NUMBERS if slot == "R" else _CORPUS_COUNTS)))
+        elif slot == "K":
+            token = rng.choice(["first", "second", "upper", "lower", "left", "right"])
+        else:
+            token = slot
+        roll = rng.randrange(60)
+        if roll < 3 and tokens:
+            token = rng.choice(sorted(dsl._KEYWORDS))
+        elif roll == 3:
+            continue  # dropped
+        elif roll == 4:
+            tokens.append(token)  # repeated
+        tokens.append(token)
+    line = rng.choice(["", "", " ", "\t"])
+    for i, token in enumerate(tokens):
+        if i and (tokens[i - 1] in _SYMBOL_TOKENS or token in _SYMBOL_TOKENS or rng.randrange(30) == 0):
+            line += rng.choice(["", "", " ", "\t"])
+        elif i:
+            line += rng.choice([" ", "  ", "\t", " \t "])
+        line += token
+    line += rng.choice(["", "", "", " ", "\t", "# note", "  #", "\t# x = (1, 2)", " # line L = A"])
+    digits = [i for i, char in enumerate(line) if char in "0123456789"]
+    if digits and rng.randrange(8) == 0:
+        i = rng.choice(digits)
+        line = line[:i] + rng.choice(_DIGIT_SETS)[int(line[i])] + line[i + 1:]
+    if rng.randrange(5) == 0:
+        i = rng.randrange(len(line) + 1)
+        line = line[:i] + rng.choice(_CORPUS_STRAYS) + line[i:]
+    if rng.randrange(5) == 0:
+        line = line[:rng.randrange(len(line) + 1)]
+    return line
+
+
+# sha256 over the outcome, repr(Program) or str(ParseError), of each of the
+# 20 000 lines _corpus_line draws from random.Random(2026), one line each.
+_PARSE_SHA256 = "9352509dd42a1c53f7474eb7ad79a2c81f848b6e8d3bfce0a8729d8d2daf2b19"
+
+
+def test_parse_outcomes_are_pinned():
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    for _ in range(20_000):
+        digest.update(_outcome(_corpus_line(rng)).encode() + b"\n")
+    assert digest.hexdigest() == _PARSE_SHA256
