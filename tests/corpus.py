@@ -162,4 +162,6 @@ MALFORMED_PROGRAMS = [
     ("# nothing here\n", 1, 1),
     ("( A = B", 1, 1),
     ("\x0c", 1, 1),  # a form feed is not a blank
+    ("intersect S = a b pick near radius", 1, 29),
+    ("line L = A  # note", 1, 19),  # the end of a line is past its comment
 ]

@@ -258,6 +258,18 @@ def test_run_svg_unscalable_extent_exits_2(capsys, tmp_path, text):
     assert not svg.exists()
 
 
+def test_run_program_bound(capsys, tmp_path):
+    path = tmp_path / "long.euc"
+    program = "point O = (0, 0)\npoint P = (1, 0)\npoint Q = (0, 1)\nangle t = O P Q\n# "
+    path.write_text(program.ljust(cli._MAX_PROGRAM_CHARS, "x"), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "run", str(path))
+    assert code == 0 and out.startswith("t = 1.5707963267948966")
+    path.write_text(program.ljust(cli._MAX_PROGRAM_CHARS + 1, "x"), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: a program holds at most 1048576 characters\n"
+
+
 def test_run_geometric_failure(capsys, tmp_path):
     path = tmp_path / "disjoint.euc"
     path.write_text(
@@ -404,6 +416,8 @@ _TWO_POINTS = "point A = (0, 0)\npoint B = (1, 0)\n"
         (["run"], "point A = (1e200, 0)\npoint B = (0, 0)\n"
                   "circle c = A B\ncircle d = B A\nintersect X Y = c d\n"),
         (["run"], b"point A = (0, 0) # caf\xe9\n"),
+        (["run"], "point O = (0, 0)\npoint P = (1e155, 1e155)\npoint Q = (-1e155, 1e155)\n"
+                  "angle t = O P Q\n"),
         (["check", "5000000000"], None),
         (["check", "2"], None),
         (["angle", "tempier", "9", "--base", "-1"], None),
@@ -416,7 +430,7 @@ _TWO_POINTS = "point A = (0, 0)\npoint B = (1, 0)\n"
     ids=[
         "line-anchors-coincide", "circle-radius-zero", "divide-degenerate-segment",
         "circle-radius-overflows", "coincident-lines",
-        "circle-squares-overflow", "euc-not-utf8",
+        "circle-squares-overflow", "euc-not-utf8", "angle-products-overflow",
         "check-n-too-large", "check-n-too-small", "base-negative", "base-nan",
         "angle-n-too-small", "table-empty-range", "angle-n-beyond-float",
         "table-n-beyond-float",

@@ -278,6 +278,14 @@ def test_angle_rejects_vertex_on_leg():
         angle(Point(0, 0), Point(0, 0), Point(1, 0))
 
 
+def test_angle_rejects_legs_whose_products_overflow():
+    # From 1e155 on, cross and dot were inf and nan, and atan2 returned nan.
+    for s in (1e154, 1e155, 1e300):
+        with pytest.raises(GeometryError, match="too long to measure"):
+            angle(Point(0, 0), Point(s, s), Point(-s, s))
+    assert angle(Point(0, 0), Point(1e153, 1e153), Point(-1e153, 1e153)) == math.pi / 2
+
+
 def test_angle_stable_near_zero():
     # acos of a normalized dot would lose half the digits here
     got = angle(Point(0, 0), Point(1, 0), Point(1, 1e-9))
