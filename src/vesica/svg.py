@@ -90,7 +90,8 @@ class _Canvas:
         pad = _MARGIN * span
         self.x0, self.y0 = x0 - pad, y0 - pad
         self.x1, self.y1 = x1 + pad, y1 + pad
-        self.scale = _WIDTH_PX / (self.x1 - self.x0)
+        # a span below 1 ulp of x0 pads nothing, which leaves no width
+        self.scale = _WIDTH_PX / (self.x1 - self.x0) if self.x1 > self.x0 else math.inf
         self.height = (self.y1 - self.y0) * self.scale
         if not (0.0 < self.scale < math.inf and self.height < math.inf):
             raise VesicaError(f"cannot scale a figure spanning x {bounds[0]!r}..{bounds[2]!r}, "

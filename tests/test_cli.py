@@ -246,8 +246,9 @@ def test_run_crlf_file_prints_the_scalars_of_its_lf_twin(capsys, tmp_path):
     [
         "point A = (-1e308, -1e308)\npoint B = (1e308, 1e308)\n",
         "point A = (0, 0)\npoint B = (1e-320, 0)\n",
+        "point A = (1, 0)\npoint B = (1, 1e-320)\n",
     ],
-    ids=["extent-overflows", "extent-subnormal"],
+    ids=["extent-overflows", "extent-subnormal", "extent-subnormal-off-origin"],
 )
 def test_run_svg_unscalable_extent_exits_2(capsys, tmp_path, text):
     euc, svg = tmp_path / "fig.euc", tmp_path / "fig.svg"
