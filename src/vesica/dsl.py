@@ -279,6 +279,7 @@ _SLOTS = {
     "I": _SIGNED_NUMBER,
     "S": rf"(?:near[ \t]+({_NAME})|({'|'.join(sorted(_SELECTOR_KINDS - {'near'}))}))",
 }
+_GROUPS = {"N": 1, "R": 2, "I": 2, "S": 2}  # the groups each slot's pattern captures
 
 
 def _point_line(name, x_minus, x, y_minus, y):
@@ -315,7 +316,7 @@ _FORMS = {
     "point": ("N = ( R , R )", _point_line),
     "line": ("N = N N", LineDef),
     "circle": ("N = N [radius N] N", _circle_line),
-    "intersect": ("N [N] = N N [pick S]", _intersect_line),
+    "intersect": ("N [N] = N N [pick S]", _intersect_line),  # a pick clause after one result name only
     "divide": ("N = N N I I", _divide_line),
     "angle": ("N = N N N", MeasureAngle),
 }
@@ -364,10 +365,10 @@ class _Cursor:
             kind, text, column = self.tokens[self.pos]
             if step[0] == "[":  # read when its first token is here: its word, or a name
                 skipping = kind != "name" or (text in _KEYWORDS if slot == "N" else text != slot)
-                if text == slot == "pick" and groups[1] is not None:  # intersect's second name
+                if text == slot == "pick" and groups[1] is not None:  # intersect's second result name
                     raise self.fail("pick clause not allowed with two result names")
             if skipping:
-                groups += [None] * re.compile(_SLOTS.get(slot, "")).groups
+                groups += [None] * _GROUPS.get(slot, 0)
             elif slot == "N":
                 groups.append(self.name())
             elif slot == "S":
@@ -394,7 +395,9 @@ class _Cursor:
             skipping = skipping and step[-1] != "]"
         if self.tokens[self.pos][0] != "end":
             raise self.fail(f"unexpected trailing token {self.found()}")
-        return build(*groups)
+        if (statement := build(*groups)) is None:  # the steps above check every group the builder checks
+            raise ParseError(self.lineno, 1, f"{keyword} statement refused by its builder")
+        return statement
 
 
 @functools.cache
@@ -430,11 +433,7 @@ def _matched_statement(line: str) -> Statement | None:
 
 def _cursor_statement(line: str, lineno: int) -> Statement:
     """The statement on `line` read token by token; raises ParseError at the first offending token."""
-    tokens = [
-        (m.lastgroup, m.group(), m.start() + 1)
-        for m in _TOKEN_RE.finditer(line)
-        if m.lastgroup
-    ]
+    tokens = [(m.lastgroup, m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line) if m.lastgroup]
     for kind, char, column in tokens:
         if kind == "bad":
             raise ParseError(lineno, column, f"unexpected character {char!r}")

@@ -762,6 +762,10 @@ def test_line_patterns_read_symbolic_literals(line):
     assert repr(taken) == repr(dsl._cursor_statement(line, 1))
 
 
+def test_slot_group_counts_match_their_patterns():
+    assert dsl._GROUPS == {slot: re.compile(pattern).groups for slot, pattern in dsl._SLOTS.items()}
+
+
 def test_blank_and_comment_lines_never_reach_a_reader():
     text = "\n\t\n# heading\n  \t# indented\npoint A = (0, 0)\n \n\t#\npoint B = (1, 0)\n\n# end\n"
     with mock.patch.object(dsl, "_cursor_statement", side_effect=AssertionError("cursor ran")):

@@ -279,7 +279,9 @@ def test_angle_rejects_vertex_on_leg():
 
 
 def test_angle_rejects_legs_whose_products_overflow():
-    # From 1e155 on, cross and dot were inf and nan, and atan2 returned nan.
+    # At 1e154 cross overflows to inf while dot is exactly 0, and atan2 gave
+    # the right pi/2; from 1e155 dot is inf - inf = nan and atan2 gave nan.
+    # Both are refused until the kernel rescales long legs.
     for s in (1e154, 1e155, 1e300):
         with pytest.raises(GeometryError, match="too long to measure"):
             angle(Point(0, 0), Point(s, s), Point(-s, s))

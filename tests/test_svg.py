@@ -310,7 +310,8 @@ def test_templates_print_the_bytes_fixed_prints(drawing, labels):
             if isinstance(drawing, Figure):
                 return render_svg(drawing, labels=labels)
             return render_polygon(polygon(*drawing), labels=labels)
-        except VesicaError as err:  # an extent too small or too large for the canvas
+        except VesicaError as err:  # only the refusal of an extent the canvas cannot scale
+            assert str(err).startswith("cannot scale a figure")
             return f"refused: {err}"
 
     fast = render()
