@@ -267,21 +267,6 @@ def _count(negative, text: str) -> int | None:
     return -n if negative else n
 
 
-# The slots of a statement form, each with its pattern: N a name, R a number,
-# I a count (a number that spells an integer), S a selector.  A pattern in
-# which two blank runs meet around an optional token, as in `[ \t]*-?[ \t]*`,
-# retries the n ways to split n blanks for every later token, so a sign is
-# `(?:(-)[ \t]*)?`, and an optional clause opens with its blanks and a token.
-_SIGNED_NUMBER = rf"(?:(-)[ \t]*)?({_NUMBER}|pi|sqrt3)"
-_SLOTS = {
-    "N": f"({_NAME})",
-    "R": _SIGNED_NUMBER,
-    "I": _SIGNED_NUMBER,
-    "S": rf"(?:near[ \t]+({_NAME})|({'|'.join(sorted(_SELECTOR_KINDS - {'near'}))}))",
-}
-_GROUPS = {"N": 1, "R": 2, "I": 2, "S": 2}  # the groups each slot's pattern captures
-
-
 def _point_line(name, x_minus, x, y_minus, y):
     x, y = _literal(x_minus, x), _literal(y_minus, y)
     return None if x is None or y is None else PointDef(name, x, y)
@@ -308,10 +293,9 @@ def _divide_line(name, start, end, n_minus, n, k_minus, k):
 
 # keyword -> (the steps after the keyword, the statement from their groups, or
 # None when a group fails its check).  A step is a slot, a symbol or a word;
-# [...] marks an optional clause, read when its first token is there.  Every
-# name group comes ahead of any other group, a selector's name first.  The
-# whole-line pattern leaves a line to the cursor, which raises, when a name
-# group holds a reserved word or the builder returns None.
+# [...] marks an optional clause, read when its first token is there.  The
+# whole-line pattern leaves a line to the cursor, which raises, when it does
+# not match or the builder returns None.
 _FORMS = {
     "point": ("N = ( R , R )", _point_line),
     "line": ("N = N N", LineDef),
@@ -322,6 +306,22 @@ _FORMS = {
 }
 
 _KEYWORDS = frozenset(_FORMS) | _SELECTOR_KINDS | frozenset(_SYMBOLIC) | {"pick", "radius", "both"}
+
+# The slots of a statement form, each with its pattern: N a name, R a number,
+# I a count (a number that spells an integer), S a selector.  A pattern in
+# which two blank runs meet around an optional token, as in `[ \t]*-?[ \t]*`,
+# retries the n ways to split n blanks for every later token, so a sign is
+# `(?:(-)[ \t]*)?`, and an optional clause opens with its blanks and a token.
+# A name slot refuses a reserved word, as the cursor does.
+_FREE_NAME = rf"(?!(?:{'|'.join(sorted(_KEYWORDS))})(?![A-Za-z0-9_])){_NAME}"
+_SIGNED_NUMBER = rf"(?:(-)[ \t]*)?({_NUMBER}|{'|'.join(_SYMBOLIC)})"
+_SLOTS = {
+    "N": f"({_FREE_NAME})",
+    "R": _SIGNED_NUMBER,
+    "I": _SIGNED_NUMBER,
+    "S": rf"(?:near[ \t]+({_FREE_NAME})|({'|'.join(sorted(_SELECTOR_KINDS - {'near'}))}))",
+}
+_GROUPS = {"N": 1, "R": 2, "I": 2, "S": 2}  # the groups each slot's pattern captures
 
 
 class _Cursor:
@@ -402,33 +402,30 @@ class _Cursor:
 
 @functools.cache
 def _line_patterns() -> dict:
-    """keyword -> (its whole-line fullmatch, its count of name groups, its
-    builder), compiled on the first parse: most vesica commands never parse.
-    Two words take blanks between them, a symbol and its neighbours need none."""
+    """keyword -> (its whole-line fullmatch, its builder), compiled on the
+    first parse: most vesica commands never parse.  Two words take blanks
+    between them, a symbol and its neighbours need none."""
     patterns = {}
     for keyword, (steps, build) in _FORMS.items():
-        regex, last, names = keyword, keyword, 0
+        regex, last = keyword, keyword
         for step in steps.split():
             slot = step.strip("[]")
             blanks = r"[ \t]+" if last.isalpha() and slot.isalpha() else r"[ \t]*"
             regex += ("(?:" if step[0] == "[" else "") + blanks + _SLOTS.get(slot, re.escape(slot))
             regex += ")?" if step[-1] == "]" else ""
-            last, names = slot, names + (slot in ("N", "S"))
-        patterns[keyword] = (re.compile(rf"[ \t]*{regex}[ \t]*(?:\#.*)?").fullmatch, names, build)
+            last = slot
+        patterns[keyword] = (re.compile(rf"[ \t]*{regex}[ \t]*(?:\#.*)?").fullmatch, build)
     return patterns
 
 
 def _matched_statement(line: str) -> Statement | None:
     """The statement that the whole-line pattern of `line`'s first word
-    builds, or None when there is no such pattern, it does not match, a name
-    group holds a reserved word or a group fails its builder's check."""
+    builds, or None when there is no such pattern, it does not match or a
+    group fails its builder's check."""
     words = line.split(None, 1)
     form = _line_patterns().get(words[0]) if words else None
     match = form[0](line) if form is not None else None
-    if match is None:
-        return None
-    groups = match.groups()
-    return form[2](*groups) if _KEYWORDS.isdisjoint(groups[:form[1]]) else None
+    return None if match is None else form[1](*match.groups())
 
 
 def _cursor_statement(line: str, lineno: int) -> Statement:

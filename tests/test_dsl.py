@@ -766,6 +766,41 @@ def test_slot_group_counts_match_their_patterns():
     assert dsl._GROUPS == {slot: re.compile(pattern).groups for slot, pattern in dsl._SLOTS.items()}
 
 
+# Each name position of every form; {} is where the name goes.
+_NAME_POSITIONS = [
+    "point {} = (0, 0)",
+    "line {} = A B", "line L = {} B", "line L = A {}",
+    "circle {} = A B", "circle c = {} B", "circle c = A {}",
+    "circle {} = A radius B C", "circle c = {} radius B C", "circle c = A radius {} C",
+    "circle c = A radius B {}",
+    "intersect {} = c d", "intersect P = {} d", "intersect P = c {}",
+    "intersect {} Q = c d", "intersect P {} = c d", "intersect P Q = {} d", "intersect P Q = c {}",
+    "intersect P = c d pick near {}",
+    "divide {} = A B 9 2", "divide F = {} B 9 2", "divide F = A {} 9 2",
+    "angle {} = A B C", "angle t = {} B C", "angle t = A {} C", "angle t = A B {}",
+]
+
+
+@pytest.mark.parametrize("word", ["pick", "pi", "near", "point"])
+@pytest.mark.parametrize("template", _NAME_POSITIONS)
+def test_line_patterns_refuse_a_reserved_word_at_every_name(template, word):
+    line = template.format(word)
+    assert dsl._matched_statement(line) is None
+    outcome = _outcome(line)
+    assert outcome == _cursor_only_outcome(line)
+    if template == "intersect P {} = c d":  # the second result name is optional
+        message = f"expected '=', found {word!r}"
+    else:
+        message = f"{word!r} is a reserved word"
+    assert outcome == f"line 1, column {template.index('{}') + 1}: {message}"
+
+
+def test_the_cursor_raises_when_a_builder_refuses_what_its_steps_passed(monkeypatch):
+    monkeypatch.setitem(dsl._FORMS, "line", ("N = N N", lambda *groups: None))
+    with pytest.raises(ParseError, match="^line 3, column 1: line statement refused by its builder$"):
+        dsl._cursor_statement("line L = A B", 3)
+
+
 def test_blank_and_comment_lines_never_reach_a_reader():
     text = "\n\t\n# heading\n  \t# indented\npoint A = (0, 0)\n \n\t#\npoint B = (1, 0)\n\n# end\n"
     with mock.patch.object(dsl, "_cursor_statement", side_effect=AssertionError("cursor ran")):
