@@ -307,6 +307,11 @@ _FORMS = {
 
 _KEYWORDS = frozenset(_FORMS) | _SELECTOR_KINDS | frozenset(_SYMBOLIC) | {"pick", "radius", "both"}
 
+# The most tokens the cursor reads on a line: the keyword, one per step (two
+# for a signed number or `near NAME`) and the one after the last step.
+_MOST_TOKENS = 2 + max(sum(1 + (step.strip("[]") in ("R", "I", "S")) for step in steps.split())
+                       for steps, _ in _FORMS.values())
+
 # The slots of a statement form, each with its pattern: N a name, R a number,
 # I a count (a number that spells an integer), S a selector.  A pattern in
 # which two blank runs meet around an optional token, as in `[ \t]*-?[ \t]*`,
@@ -325,7 +330,8 @@ _GROUPS = {"N": 1, "R": 2, "I": 2, "S": 2}  # the groups each slot's pattern cap
 
 
 class _Cursor:
-    """Walks one line's (kind, text, column) tokens, ending in an "end" token."""
+    """Walks one line's first _MOST_TOKENS (kind, text, column) tokens, and an
+    "end" token after them when the line has fewer."""
 
     __slots__ = ("tokens", "pos", "lineno")
 
@@ -429,12 +435,16 @@ def _matched_statement(line: str) -> Statement | None:
 
 
 def _cursor_statement(line: str, lineno: int) -> Statement:
-    """The statement on `line` read token by token; raises ParseError at the first offending token."""
-    tokens = [(m.lastgroup, m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line) if m.lastgroup]
-    for kind, char, column in tokens:
-        if kind == "bad":
-            raise ParseError(lineno, column, f"unexpected character {char!r}")
-    tokens.append(("end", "", len(line) + 1))
+    """The statement on `line` read token by token; raises ParseError at the
+    first stray character on the line, or else at the first offending token."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(line):  # keeps no more tokens than the cursor reads
+        if m.lastgroup == "bad":
+            raise ParseError(lineno, m.start() + 1, f"unexpected character {m.group()!r}")
+        if m.lastgroup and len(tokens) < _MOST_TOKENS:
+            tokens.append((m.lastgroup, m.group(), m.start() + 1))
+    if len(tokens) < _MOST_TOKENS:
+        tokens.append(("end", "", len(line) + 1))
     return _Cursor(tokens, lineno).statement()
 
 
@@ -577,23 +587,25 @@ _EXEC = {
 }
 
 
-# Evaluated program heads, (statements, figure): written only at import by
-# _register_head, and copied, never handed out, by evaluate.
-_HEADS: list[tuple[tuple[Statement, ...], Figure]] = []
+# The evaluated head, (statements, figure): set once at import by _set_head,
+# and copied, never handed out, by evaluate.  Until then it is empty.
+_HEAD: tuple[tuple[Statement, ...], Figure] = ((), Figure())
 
 
-def _register_head(statements: tuple[Statement, ...]) -> None:
+def _set_head(statements: tuple[Statement, ...]) -> None:
     """Evaluate `statements` once, so that programs starting with these very
     statement objects resume from a copy of the figure."""
-    _HEADS.append((statements, evaluate(Program(statements))))
+    global _HEAD
+    _HEAD = (statements, evaluate(Program(statements)))
 
 
 def evaluate(program: Program) -> Figure:
     """Execute statements in order against the geometry kernel.
 
-    A program whose first statements are the very objects of a registered
-    head (identity, not equality) resumes from a copy of that head's figure
-    and runs only the rest; the result is the same either way.
+    A program whose first statements are the very objects of the head
+    (identity, not equality), which is the method frame, resumes from a copy
+    of the head's figure and runs only the rest; the result is the same
+    either way.  Any other program runs from an empty figure.
 
     Raises UnknownName / DuplicateName for scoping faults, SelectorEmpty when
     a construction fails geometrically and TypeError for a non-statement.  Any
@@ -602,12 +614,10 @@ def evaluate(program: Program) -> Figure:
     intersect or angle legs too long to measure, and the plain VesicaError
     of coincident line anchors, a zero-radius circle or a degenerate divide.
     """
-    statements = program.statements
-    for head, done in _HEADS:
-        if len(statements) >= len(head) and all(map(is_, statements, head)):
-            fig = Figure(dict(done.points), dict(done.curves), dict(done.scalars))
-            statements = statements[len(head):]
-            break
+    statements, (head, done) = program.statements, _HEAD
+    if len(statements) >= len(head) and all(map(is_, statements, head)):
+        fig = Figure(dict(done.points), dict(done.curves), dict(done.scalars))
+        statements = statements[len(head):]
     else:
         fig = Figure()
     for stmt in statements:

@@ -36,7 +36,7 @@ from .dsl import (
     PointDef,
     Program,
     Selector,
-    _register_head,
+    _set_head,
 )
 
 __all__ = [
@@ -81,7 +81,7 @@ _FRAME = (
     CircleDef("arcA", "A", "B"),
     Intersect(("V",), "arcB", "arcA", Selector("lower")),
 )
-_register_head(_FRAME)
+_set_head(_FRAME)
 
 
 class Method(Enum):

@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vesica import cli
 from vesica.cli import main
-from vesica.dsl import ParseError, format_program, parse
+from vesica.dsl import ParseError, UnknownName, evaluate, format_program, parse
 from vesica.methods import (
     Method,
     bion_angle,
@@ -448,6 +453,27 @@ def test_domain_errors_exit_2_with_one_error_line(capsys, tmp_path, argv, euc):
     assert "Traceback" not in err
 
 
+_LONG_NAME = "x" * 10**6
+
+
+@pytest.mark.parametrize("argv, euc, status, start", [
+    (["run"], f"point A = (0, 0)\nline L = A {_LONG_NAME}\n", 2, "error: no point named 'xxx"),
+    (["check", _LONG_NAME], None, 1, "usage error: argument n: invalid int value: 'xxx"),
+], ids=["run-unknown-long-name", "usage-long-argument"])
+def test_an_error_line_is_cut_after_a_thousand_characters(capsys, tmp_path, argv, euc, status, start):
+    if euc is not None:
+        path = tmp_path / "case.euc"
+        path.write_text(euc, encoding="utf-8")
+        argv = argv + [str(path)]
+        with pytest.raises(UnknownName) as raised:  # the library keeps the whole message
+            evaluate(parse(euc))
+        assert str(raised.value) == f"no point named '{_LONG_NAME}'"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (status, "")
+    assert err.startswith(start) and err.count("\n") == 1
+    assert re.search(r"x\.\.\. \(\d+ more characters\)\n$", err) and len(err.encode()) < 2048
+
+
 @pytest.mark.parametrize("bug", [ValueError("bug"), OverflowError("bug")])
 def test_bugs_are_not_reported_as_domain_errors(monkeypatch, bug):
     def broken(*args):
@@ -457,6 +483,64 @@ def test_bugs_are_not_reported_as_domain_errors(monkeypatch, bug):
     with pytest.raises(type(bug)) as raised:
         main(["angle", "bion", "9"])
     assert raised.value is bug
+
+
+# --- in-process fuzz of the numeric subcommands -----------------------------------------
+
+_METHODS = st.sampled_from(["bion", "tempier"])
+_INTS = st.integers(-2**70, 2**70)
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf])).map(repr)
+
+
+@st.composite
+def _table_argv(draw):
+    start = draw(_INTS)
+    stop = draw(st.one_of(_INTS, st.integers(-3, 40).map(lambda k: start + k)))
+    flags = draw(st.lists(st.sampled_from(["--paper", "--format=json"]), unique=True))
+    return ["table", draw(_METHODS), f"--from={start}", f"--to={stop}", *flags]
+
+
+_NUMERIC_ARGVS = st.one_of(
+    st.tuples(st.just("angle"), _METHODS, _INTS.map(str)).map(list),
+    st.tuples(st.just("angle"), _METHODS, _INTS.map(str), _FLOATS.map("--base={}".format)).map(list),
+    _table_argv(),
+    st.tuples(st.just("check"), _INTS.map(str)).map(list),
+    st.tuples(st.just("construct"), _METHODS, _INTS.map(str)).map(list),
+    st.just(["rectify"]),
+    st.tuples(st.just("rectify"), _FLOATS.map("--distance={}".format)).map(list),
+    st.tuples(st.just("polygon"), _METHODS, st.one_of(st.integers(-3, 40), st.just(10_001)).map(str)).map(list),
+)
+
+
+def _run_in_process(argv, tmp):
+    """(status, stdout, stderr, the SVG bytes or None) of one cli.main call."""
+    svg = os.path.join(tmp, "out.svg")
+    if argv[0] == "polygon":
+        argv = argv + ["--svg", svg]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    if not os.path.exists(svg):
+        return status, out.getvalue(), err.getvalue(), None
+    with open(svg, "rb") as handle:
+        written = handle.read()
+    os.remove(svg)
+    return status, out.getvalue(), err.getvalue(), written
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_NUMERIC_ARGVS)
+def test_numeric_subcommands_exit_cleanly_on_any_number(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        first = _run_in_process(argv, tmp)
+        assert _run_in_process(argv, tmp) == first, argv  # the same argv gives the same bytes
+    status, out, err, _ = first
+    assert status in (0, 1, 2), argv
+    if status == 0:
+        assert err == "" and not re.search(r"(?i)\b(?:nan|inf|infinity)\b", out), (argv, out)
+    else:
+        assert err.startswith(("error: ", "usage error: ")) and err.count("\n") == 1, (argv, err)
 
 
 # --- determinism ------------------------------------------------------------------------

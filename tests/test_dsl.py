@@ -4,6 +4,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -799,6 +800,27 @@ def test_the_cursor_raises_when_a_builder_refuses_what_its_steps_passed(monkeypa
     monkeypatch.setitem(dsl._FORMS, "line", ("N = N N", lambda *groups: None))
     with pytest.raises(ParseError, match="^line 3, column 1: line statement refused by its builder$"):
         dsl._cursor_statement("line L = A B", 3)
+
+
+def test_the_cursor_keeps_the_tokens_of_the_longest_statement_and_one_more():
+    longest = "point A = (-1, -2)"
+    assert dsl._MOST_TOKENS == sum(1 for m in dsl._TOKEN_RE.finditer(longest) if m.lastgroup) + 1 == 11
+    with pytest.raises(ParseError, match=r"^line 1, column 19: unexpected trailing token '\)'$"):
+        dsl._cursor_statement(longest + ")" * 100_000, 1)
+    with pytest.raises(ParseError, match=r"^line 1, column 100019: unexpected character ';'$"):
+        dsl._cursor_statement(longest + ")" * 100_000 + ";", 1)  # a stray character wins anywhere
+
+
+def test_a_long_malformed_line_parses_in_little_memory():
+    line = "point" + "=" * ((1 << 20) - 5)  # the longest line `vesica run` reads
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="^line 1, column 6: expected a name, found '='$"):
+            parse(line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_blank_and_comment_lines_never_reach_a_reader():
