@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import constructible, dsl, methods
@@ -37,6 +38,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Any negative float is a value: older argparse took `--base -1e-3` for an option.
+        self._negative_number_matcher = re.compile(r"-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.I)
+
     def error(self, message):  # argparse defaults to exit code 2; we use 1
         raise _UsageError(message)
 

@@ -39,7 +39,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from operator import is_
+from operator import attrgetter, is_
 
 from .geometry import (
     Circle,
@@ -177,6 +177,13 @@ class Intersect(_Record):
 class Divide(_Record):
     __slots__ = ("name", "start", "end", "n", "k")
 
+    def __init__(self, name: str, start: str, end: str, n: int, k: int) -> None:
+        _set_divide_name(self, name)
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_n(self, n)
+        _set_k(self, k)
+
 
 class MeasureAngle(_Record):
     __slots__ = ("name", "vertex", "p", "q")
@@ -196,10 +203,11 @@ class Program(_Record):
         _set_statements(self, statements)
 
 
-# The checking records store through bound setters, as Point does.
+# The checking records and Divide store through bound setters, as Point does.
 _set_value, _set_symbol = Num._stores
 _set_kind, _set_ref = Selector._stores
 _set_names, _set_a, _set_b, _set_pick = Intersect._stores
+_set_divide_name, _set_start, _set_end, _set_n, _set_k = Divide._stores
 (_set_statements,) = Program._stores
 
 
@@ -214,11 +222,6 @@ class Figure:
     points: dict[str, Point] = field(default_factory=dict)
     curves: dict[str, Curve] = field(default_factory=dict)
     scalars: dict[str, float] = field(default_factory=dict)
-
-    def _bind(self, kind: dict, name: str, value) -> None:
-        if name in self.points or name in self.curves or name in self.scalars:
-            raise DuplicateName(f"name {name!r} is already defined")
-        kind[name] = value
 
 
 # --- parser ------------------------------------------------------------------
@@ -515,15 +518,17 @@ def format_program(program: Program) -> str:
 
 # --- evaluator ---------------------------------------------------------------
 
-def _lookup(fig: Figure, name: str, want: str = "point"):
-    """The point (want="point") or curve (want="curve") bound to `name`."""
-    try:
-        return (fig.points if want == "point" else fig.curves)[name]
-    except KeyError:
-        for kind, bound in (("point", fig.points), ("curve", fig.curves), ("scalar", fig.scalars)):
-            if name in bound:
-                raise UnknownName(f"{name!r} names a {kind}, expected a {want}") from None
-        raise UnknownName(f"no {want} named {name!r}") from None
+def _unknown(fig: Figure, name: str, want: str = "point"):
+    """Raise UnknownName: `name` names no `want` ("point" or "curve") in `fig`."""
+    for kind, bound in (("point", fig.points), ("curve", fig.curves), ("scalar", fig.scalars)):
+        if name in bound:
+            raise UnknownName(f"{name!r} names a {kind}, expected a {want}")
+    raise UnknownName(f"no {want} named {name!r}")
+
+
+# Selector kind -> (min or max, the coordinate it compares).
+_EXTREMES = {"upper": (max, attrgetter("y")), "lower": (min, attrgetter("y")),
+             "left": (min, attrgetter("x")), "right": (max, attrgetter("x"))}
 
 
 def _select(pick: Selector, points: list[Point], fig: Figure) -> Point:
@@ -531,60 +536,16 @@ def _select(pick: Selector, points: list[Point], fig: Figure) -> Point:
         raise SelectorEmpty(f"selector {pick.kind!r} applied to an empty intersection")
     # Kernel order is sorted ascending by (x, y); min/max keep the first
     # extremal entry, so coordinate ties resolve to the kernel-order point.
-    match pick.kind:
-        case "first":
-            return points[0]
-        case "second":
-            if len(points) < 2:
-                raise SelectorEmpty("selector 'second' needs two intersection points")
-            return points[1]
-        case "upper":
-            return max(points, key=lambda p: p.y)
-        case "lower":
-            return min(points, key=lambda p: p.y)
-        case "left":
-            return min(points, key=lambda p: p.x)
-        case "right":
-            return max(points, key=lambda p: p.x)
-    anchor = _lookup(fig, pick.ref)  # "near", the one kind left
+    if (extreme := _EXTREMES.get(pick.kind)) is not None:
+        return extreme[0](points, key=extreme[1])
+    if pick.kind == "first":
+        return points[0]
+    if pick.kind == "second":
+        if len(points) < 2:
+            raise SelectorEmpty("selector 'second' needs two intersection points")
+        return points[1]
+    anchor = fig.points.get(pick.ref) or _unknown(fig, pick.ref)  # "near", the one kind left
     return min(points, key=lambda p: distance(anchor, p))
-
-
-def _circle_def(fig: Figure, s: CircleDef) -> None:
-    c = _lookup(fig, s.center)
-    fig._bind(fig.curves, s.name, Circle(c, distance(c, _lookup(fig, s.through))))
-
-
-def _circle_rad_def(fig: Figure, s: CircleRadDef) -> None:
-    radius = distance(_lookup(fig, s.rad_from), _lookup(fig, s.rad_to))
-    fig._bind(fig.curves, s.name, Circle(_lookup(fig, s.center), radius))
-
-
-def _intersect(fig: Figure, s: Intersect) -> None:
-    hits = intersect_curves(_lookup(fig, s.a, "curve"), _lookup(fig, s.b, "curve"))
-    if s.pick is not None:
-        fig._bind(fig.points, s.names[0], _select(s.pick, hits, fig))
-        return
-    if len(hits) < 2:
-        raise SelectorEmpty(f"binding {s.names[0]!r} and {s.names[1]!r} needs two "
-                            f"intersection points, got {len(hits)}")
-    fig._bind(fig.points, s.names[0], hits[0])
-    fig._bind(fig.points, s.names[1], hits[1])
-
-
-# Statement type -> handler(fig, stmt); the kernel is reached through module globals.
-_EXEC = {
-    PointDef: lambda fig, s: fig._bind(fig.points, s.name, Point(s.x.value, s.y.value)),
-    LineDef: lambda fig, s: fig._bind(
-        fig.curves, s.name, Line(_lookup(fig, s.a), _lookup(fig, s.b))),
-    CircleDef: _circle_def,
-    CircleRadDef: _circle_rad_def,
-    Intersect: _intersect,
-    Divide: lambda fig, s: fig._bind(fig.points, s.name, divide_segment(
-        _lookup(fig, s.start), _lookup(fig, s.end), s.n, s.k)),
-    MeasureAngle: lambda fig, s: fig._bind(fig.scalars, s.name, measure_angle(
-        _lookup(fig, s.vertex), _lookup(fig, s.p), _lookup(fig, s.q))),
-}
 
 
 # The evaluated head, (statements, figure): set once at import by _set_head,
@@ -607,6 +568,9 @@ def evaluate(program: Program) -> Figure:
     of the head's figure and runs only the rest; the result is the same
     either way.  Any other program runs from an empty figure.
 
+    One loop dispatches on each statement's type: it reads names with
+    dict.get, calls the kernel through module globals and binds the new name.
+
     Raises UnknownName / DuplicateName for scoping faults, SelectorEmpty when
     a construction fails geometrically and TypeError for a non-statement.  Any
     VesicaError from the kernel propagates unchanged: CoincidentCurves,
@@ -620,8 +584,50 @@ def evaluate(program: Program) -> Figure:
         statements = statements[len(head):]
     else:
         fig = Figure()
+    points, curves, scalars = fig.points, fig.curves, fig.scalars
+    point, curve = points.get, curves.get  # every bound value is truthy: `or` takes only a miss
     for stmt in statements:
-        if (run := _EXEC.get(type(stmt))) is None:
+        kind, second = type(stmt), None
+        if kind is Divide:
+            store, name = points, stmt.name
+            value = divide_segment(point(stmt.start) or _unknown(fig, stmt.start),
+                                   point(stmt.end) or _unknown(fig, stmt.end), stmt.n, stmt.k)
+        elif kind is LineDef:
+            store, name = curves, stmt.name
+            value = Line(point(stmt.a) or _unknown(fig, stmt.a), point(stmt.b) or _unknown(fig, stmt.b))
+        elif kind is Intersect:
+            hits = intersect_curves(curve(stmt.a) or _unknown(fig, stmt.a, "curve"),
+                                    curve(stmt.b) or _unknown(fig, stmt.b, "curve"))
+            store, name = points, stmt.names[0]
+            if stmt.pick is not None:
+                value = _select(stmt.pick, hits, fig)
+            elif len(hits) < 2:
+                raise SelectorEmpty(f"binding {name!r} and {stmt.names[1]!r} needs two "
+                                    f"intersection points, got {len(hits)}")
+            else:
+                value, second = hits[0], (stmt.names[1], hits[1])
+        elif kind is MeasureAngle:
+            store, name = scalars, stmt.name
+            value = measure_angle(point(stmt.vertex) or _unknown(fig, stmt.vertex),
+                                  point(stmt.p) or _unknown(fig, stmt.p),
+                                  point(stmt.q) or _unknown(fig, stmt.q))
+        elif kind is PointDef:
+            store, name, value = points, stmt.name, Point(stmt.x.value, stmt.y.value)
+        elif kind is CircleDef:
+            store, name, center = curves, stmt.name, point(stmt.center) or _unknown(fig, stmt.center)
+            value = Circle(center, distance(center, point(stmt.through) or _unknown(fig, stmt.through)))
+        elif kind is CircleRadDef:
+            radius = distance(point(stmt.rad_from) or _unknown(fig, stmt.rad_from),
+                              point(stmt.rad_to) or _unknown(fig, stmt.rad_to))
+            store, name = curves, stmt.name
+            value = Circle(point(stmt.center) or _unknown(fig, stmt.center), radius)
+        else:
             raise TypeError(f"not a statement: {stmt!r}")
-        run(fig, stmt)
+        while True:  # once, or twice for the two points of a two-name intersect
+            if name in points or name in curves or name in scalars:
+                raise DuplicateName(f"name {name!r} is already defined")
+            store[name] = value
+            if second is None:
+                break
+            (name, value), second = second, None
     return fig

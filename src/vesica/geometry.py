@@ -47,7 +47,8 @@ class _Record:
     by position and are read-only.  Point, Line, Circle, Num, Selector,
     Intersect and Program check their arguments in their own __init__, then
     store through the bound setters in ``_stores``, a call cheaper than this
-    constructor's, as the kernel and method programs build thousands.
+    constructor's, as the kernel and method programs build thousands; Divide,
+    one per method program, stores through them unchecked.
     """
 
     __slots__ = ()
@@ -197,14 +198,13 @@ def intersect(a: Curve, b: Curve) -> list[Point]:
     Raises CoincidentCurves when a and b are the same line or same circle,
     GeometryError when two circles lie too far out to square their coordinates.
     """
-    if isinstance(a, Line) and isinstance(b, Line):
-        first, second = _canonical_pair(a, b, _line_key)
-        return _line_line(first, second)
-    if isinstance(a, Circle) and isinstance(b, Circle):
-        first, second = _canonical_pair(a, b, _circle_key)
-        return _circle_circle(first, second)
-    line, circle = (a, b) if isinstance(a, Line) else (b, a)
-    return _implicit_line_circle(_implicit(line), circle)
+    if isinstance(a, Line):
+        if isinstance(b, Line):
+            return _line_line(*_canonical_pair(a, b, _line_key))
+        return _implicit_line_circle(_implicit(a), b)
+    if isinstance(b, Line):
+        return _implicit_line_circle(_implicit(b), a)
+    return _circle_circle(*_canonical_pair(a, b, _circle_key))
 
 
 def _line_key(line: Line) -> tuple[float, float, float, float]:
@@ -252,16 +252,14 @@ def _implicit_line_circle(coeffs: tuple[float, float, float], circle: Circle) ->
     n2 = a * a + b * b
     # Signed offset of the center from the line, scaled by the normal.
     f = (a * cx + b * cy + c) / n2
-    foot = Point(cx - a * f, cy - b * f)
+    fx, fy = cx - a * f, cy - b * f  # the foot of the perpendicular from the center
     disc = circle.radius * circle.radius - f * f * n2
-    if abs(disc) < EPS_GEOM:
-        return [foot]
+    if abs(disc) < EPS_GEOM or not (math.isfinite(fx) and math.isfinite(fy)):
+        return [Point(fx, fy)]  # the tangent point; Point refuses a foot past a float's range
     if disc < 0.0:
         return []
     s = math.sqrt(disc / n2)
-    p1 = Point(foot.x - b * s, foot.y + a * s)
-    p2 = Point(foot.x + b * s, foot.y - a * s)
-    return _ordered(p1, p2)
+    return _ordered(Point(fx - b * s, fy + a * s), Point(fx + b * s, fy - a * s))
 
 
 def _circle_circle(c1: Circle, c2: Circle) -> list[Point]:

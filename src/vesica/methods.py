@@ -279,8 +279,8 @@ def best_method(n: int) -> Method | None:
     """
     _require_n(n)
     exact = TAU / n
-    bion, tempier = (abs(exact - _closed_form(*m.division(n), SQRT3, m.reference)) / exact
-                     for m in Method)
+    bion, tempier = [abs(exact - _closed_form(*m.division(n), SQRT3, m.reference)) / exact
+                     for m in (Method.BION, Method.TEMPIER)]
     if abs(bion - tempier) <= TIE_TOLERANCE:
         return None
     return Method.BION if bion < tempier else Method.TEMPIER

@@ -399,6 +399,22 @@ def test_rectify_invalid_distance(capsys):
     assert code == 2 and err != ""
 
 
+@pytest.mark.parametrize("argv, value, code, err", [
+    (["rectify", "--distance"], "-1e-3", 2, "error: base distance must be positive, got -0.001\n"),
+    (["angle", "tempier", "9", "--base"], "-1e-3", 2, "error: base distance must be positive, got -0.001\n"),
+    (["angle", "tempier", "9", "--base"], "-2.5E+1", 2, "error: base distance must be positive, got -25.0\n"),
+    (["rectify", "--distance"], "-.5e-1", 2, "error: base distance must be positive, got -0.05\n"),
+    (["rectify", "--distance"], "-inf", 2, "error: base distance must be positive, got -inf\n"),
+    (["rectify", "--distance"], "-Infinity", 2, "error: base distance must be positive, got -inf\n"),
+    (["rectify", "--distance"], "-nan", 2, "error: base distance must be positive, got nan\n"),
+    (["table", "bion", "--from"], "-1e3", 1, "usage error: argument --from: invalid int value: '-1e3'\n"),
+])
+def test_a_negative_option_value_reads_the_same_in_either_spelling(capsys, argv, value, code, err):
+    option = argv[-1]
+    assert run_cli(capsys, *argv, value) == (code, "", err)
+    assert run_cli(capsys, *argv[:-1], f"{option}={value}") == (code, "", err)
+
+
 @pytest.mark.parametrize("distance", ["1e308", "1e-310"])
 def test_rectify_overflowing_distance_exits_2(capsys, distance):
     code, out, err = run_cli(capsys, "rectify", "--distance", distance)
@@ -513,6 +529,12 @@ _NUMERIC_ARGVS = st.one_of(
 )
 
 
+def _separate(argv):
+    """argv with the value of each `--option=value` item as an item of its own."""
+    return [part for item in argv
+            for part in (item.split("=", 1) if item.startswith("--") and "=" in item else [item])]
+
+
 def _run_in_process(argv, tmp):
     """(status, stdout, stderr, the SVG bytes or None) of one cli.main call."""
     svg = os.path.join(tmp, "out.svg")
@@ -535,6 +557,7 @@ def test_numeric_subcommands_exit_cleanly_on_any_number(argv):
     with tempfile.TemporaryDirectory() as tmp:
         first = _run_in_process(argv, tmp)
         assert _run_in_process(argv, tmp) == first, argv  # the same argv gives the same bytes
+        assert _run_in_process(_separate(argv), tmp) == first, argv  # `--option value` reads alike
     status, out, err, _ = first
     assert status in (0, 1, 2), argv
     if status == 0:

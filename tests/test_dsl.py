@@ -485,7 +485,17 @@ _EVAL_ERROR_TEXTS = [
     _ABT + "intersect X = L A",
     _ABT + "line M = t A",
     _ABT + "intersect X = L t",
+    _ABT + "intersect X = t L",
+    _ABT + "circle c = A t",
+    _ABT + "circle k = t radius A B",
+    _ABT + "divide M = L B 3 1",
+    _ABT + "angle s = A B L",
+    _ABT + "circle c = A B\nintersect X = L c pick near c",
+    _ABT + "circle c = A B\nintersect X = L c pick near t",
     _ABT + "circle c = A B\nintersect X = L c pick near Q",
+    _ABT + "circle c = A B\nintersect L = L c pick first",
+    _ABT + "circle c = A B\nintersect X t = L c",
+    _ABT + "angle t = A B C",
     _ABT + "circle c = A B\nintersect X X = L c",
     _ABT + "line A = A B",
     _ABT + "line N = A A",
@@ -516,7 +526,7 @@ _EVAL_ERROR_TEXTS = [
 # sha256 over the formatted method programs, every point, curve and scalar
 # evaluate() binds for them and for the handwritten corpus, and the type and
 # message of every error on _EVAL_ERROR_TEXTS.
-_EVAL_SHA256 = "46b88e35863c4ccc4e1e601faa6a06c2856196b483d78afbc83ac4a111cee4e0"
+_EVAL_SHA256 = "6fd8b229b81bf90af2f67b0634990e618c574bdc9b926b36b3034390ac68f094"
 
 
 def _evaluation_digest() -> str:

@@ -219,8 +219,33 @@ def test_diameter_line_hits_unit_circle():
 
 def test_tangent_line_snaps_to_one_point():
     pts = intersect(Line(Point(-2, 1), Point(2, 1)), Circle(Point(0, 0), 1.0))
-    assert len(pts) == 1
-    assert (pts[0].x, pts[0].y) == (0.0, 1.0)
+    assert [(p.x.hex(), p.y.hex()) for p in pts] == [("0x0.0p+0", "0x1.0000000000000p+0")]
+
+
+@pytest.mark.parametrize("radius", [1.5, 1.5 + 1e-11, 1.5 - 1e-11])
+def test_tangent_point_bits_are_pinned(radius):
+    # A slanted tangent and two near-tangents that snap: the one point is the
+    # foot of the perpendicular from the center, with these exact bits.
+    line = Line(Point(2.743395428418003, -0.3183981345244349),
+                Point(-1.4639594956214796, 2.383113394816264))
+    circle = Circle(Point(0.25, -0.5), radius)
+    for pts in (intersect(line, circle), intersect(circle, line)):
+        assert [(p.x.hex(), p.y.hex()) for p in pts] == [("0x1.0f79e0bc7c4e9p+0", "0x1.863fed68d9366p-1")]
+
+
+@pytest.mark.parametrize("line", [
+    Line(Point(-1e155, 1e155), Point(1e155, 1e155)),
+    Line(Point(0, -1e155), Point(1e155, 0)),
+], ids=["tangent", "secant"])
+def test_line_circle_past_squaring_range_raises_plain_error(line):
+    # The coefficients' squares overflow, so the foot is (nan, nan).  Pins the
+    # failure of today's kernel; an overflow-free kernel may answer instead.
+    circle = Circle(Point(0, 0), 1e155)
+    for a, b in ((line, circle), (circle, line)):
+        with pytest.raises(VesicaError) as raised:
+            intersect(a, b)
+        assert type(raised.value) is VesicaError
+        assert str(raised.value) == "point coordinates must be finite, got (nan, nan)"
 
 
 def test_disjoint_circles_do_not_intersect():
