@@ -437,17 +437,39 @@ def _matched_statement(line: str) -> Statement | None:
     return None if match is None else form[1](*match.groups())
 
 
+# A character no token can hold, wherever it stands.  A '.' or '+' is a stray
+# only in some places ('.5' and '1e+5' are numbers), and '#' starts a comment.
+_STRAY_RE = re.compile(r"[^ \t#0-9A-Za-z_.+=(),-]")
+
+
+def _unexpected(stray: re.Match, lineno: int) -> ParseError:
+    return ParseError(lineno, stray.start() + 1, f"unexpected character {stray.group()!r}")
+
+
 def _cursor_statement(line: str, lineno: int) -> Statement:
     """The statement on `line` read token by token; raises ParseError at the
     first stray character on the line, or else at the first offending token."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(line):  # keeps no more tokens than the cursor reads
+    tokens, walk = [], _TOKEN_RE.finditer(line)
+    for m in walk:
         if m.lastgroup == "bad":
-            raise ParseError(lineno, m.start() + 1, f"unexpected character {m.group()!r}")
-        if m.lastgroup and len(tokens) < _MOST_TOKENS:
+            raise _unexpected(m, lineno)
+        if m.lastgroup:
             tokens.append((m.lastgroup, m.group(), m.start() + 1))
-    if len(tokens) < _MOST_TOKENS:
+            if len(tokens) == _MOST_TOKENS:  # the cursor reads no further
+                break
+    else:
         tokens.append(("end", "", len(line) + 1))
+        return _Cursor(tokens, lineno).statement()
+    # Only a stray character on the rest of the line can still matter.  No
+    # token holds a '#', so the first one there starts the comment.
+    start, stop = m.end(), line.find("#", m.end())
+    stop = len(line) if stop < 0 else stop
+    if line.find(".", start, stop) < 0 and line.find("+", start, stop) < 0:
+        stray = _STRAY_RE.search(line, start, stop)
+    else:
+        stray = next((m for m in walk if m.lastgroup == "bad"), None)
+    if stray is not None:
+        raise _unexpected(stray, lineno)
     return _Cursor(tokens, lineno).statement()
 
 
@@ -486,34 +508,37 @@ def _num_text(num: Num) -> str:
     return repr(v)
 
 
-def _selector_text(pick: Selector) -> str:
-    return f"near {pick.ref}" if pick.kind == "near" else pick.kind
+def _intersect_text(stmt: Intersect) -> str:
+    names, pick = stmt.names, stmt.pick
+    if pick is None:
+        return f"intersect {names[0]} {names[1]} = {stmt.a} {stmt.b}"
+    selector = f"near {pick.ref}" if pick.kind == "near" else pick.kind
+    return f"intersect {names[0]} = {stmt.a} {stmt.b} pick {selector}"
+
+
+# Statement type -> its canonical line.  Keyed by exact type, as evaluate
+# dispatches: an instance of a subclass is not a statement.
+_FORMATTERS = {
+    PointDef: lambda s: f"point {s.name} = ({_num_text(s.x)}, {_num_text(s.y)})",
+    LineDef: lambda s: f"line {s.name} = {s.a} {s.b}",
+    CircleDef: lambda s: f"circle {s.name} = {s.center} {s.through}",
+    CircleRadDef: lambda s: f"circle {s.name} = {s.center} radius {s.rad_from} {s.rad_to}",
+    Intersect: _intersect_text,
+    Divide: lambda s: f"divide {s.name} = {s.start} {s.end} {s.n} {s.k}",
+    MeasureAngle: lambda s: f"angle {s.name} = {s.vertex} {s.p} {s.q}",
+}
 
 
 def format_statement(stmt: Statement) -> str:
-    match stmt:
-        case PointDef(name, x, y):
-            return f"point {name} = ({_num_text(x)}, {_num_text(y)})"
-        case LineDef(name, a, b):
-            return f"line {name} = {a} {b}"
-        case CircleDef(name, center, through):
-            return f"circle {name} = {center} {through}"
-        case CircleRadDef(name, center, rad_from, rad_to):
-            return f"circle {name} = {center} radius {rad_from} {rad_to}"
-        case Intersect(names, a, b, pick):
-            if pick is None:
-                return f"intersect {names[0]} {names[1]} = {a} {b}"
-            return f"intersect {names[0]} = {a} {b} pick {_selector_text(pick)}"
-        case Divide(name, start, end, n, k):
-            return f"divide {name} = {start} {end} {n} {k}"
-        case MeasureAngle(name, vertex, p, q):
-            return f"angle {name} = {vertex} {p} {q}"
-    raise TypeError(f"not a statement: {stmt!r}")
+    formatter = _FORMATTERS.get(type(stmt))
+    if formatter is None:
+        raise TypeError(f"not a statement: {stmt!r}")
+    return formatter(stmt)
 
 
 def format_program(program: Program) -> str:
     """Canonical text: one statement per line, single spaces, LF endings."""
-    return "\n".join(format_statement(s) for s in program.statements) + "\n"
+    return "\n".join([format_statement(s) for s in program.statements]) + "\n"
 
 
 # --- evaluator ---------------------------------------------------------------

@@ -201,15 +201,34 @@ def tempier_program(n: int) -> Program:
 
 # --- tables and analysis -------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ErrorRow:
-    """One row of a method error table, all angles in radians."""
+    """One row of a method error table, all angles in radians.
+
+    A frozen dataclass, so that ``dataclasses.replace`` copies a row, with its
+    own ``__init__``: the generated one stores each field through
+    ``object.__setattr__``, which costs more than the closed form the row
+    holds.  This one stores through the slots' bound setters, as ``_Record``
+    does; equality, hashing, repr and ``__match_args__`` stay generated.
+    """
 
     n: int
     exact: float      # 2*pi/n
     approx: float     # the method's angle
     error: float      # exact - approx
     rel_error: float  # |exact - approx| / exact
+
+    def __init__(self, n: int, exact: float, approx: float, error: float, rel_error: float) -> None:
+        _set_row_n(self, n)
+        _set_row_exact(self, exact)
+        _set_row_approx(self, approx)
+        _set_row_error(self, error)
+        _set_row_rel_error(self, rel_error)
+
+
+# Taken from the class the decorator returns: slots=True builds a new one.
+_set_row_n, _set_row_exact, _set_row_approx, _set_row_error, _set_row_rel_error = (
+    getattr(ErrorRow, name).__set__ for name in ErrorRow.__slots__)
 
 
 class PolygonResult(_Record):
@@ -252,10 +271,12 @@ def error_table(method: Method, n_from: int, n_to: int) -> list[ErrorRow]:
     if n_to < n_from:
         raise UnsupportedN(f"empty range: n_from={n_from} > n_to={n_to}")
     _require_n(n_to)  # so every n in the range is valid
+    division, reference = method.division, method.reference
     rows = []
     for n in range(n_from, n_to + 1):
         exact = TAU / n
-        approx = _closed_form(*method.division(n), SQRT3, method.reference)
+        parts, index = division(n)
+        approx = _closed_form(parts, index, SQRT3, reference)
         error = exact - approx
         rows.append(ErrorRow(n, exact, approx, error, abs(error) / exact))
     return rows
@@ -279,11 +300,14 @@ def best_method(n: int) -> Method | None:
     """
     _require_n(n)
     exact = TAU / n
-    bion, tempier = [abs(exact - _closed_form(*m.division(n), SQRT3, m.reference)) / exact
-                     for m in (Method.BION, Method.TEMPIER)]
-    if abs(bion - tempier) <= TIE_TOLERANCE:
+    bion, tempier = Method.BION, Method.TEMPIER
+    parts, index = bion.division(n)
+    bion_error = abs(exact - _closed_form(parts, index, SQRT3, bion.reference)) / exact
+    parts, index = tempier.division(n)
+    tempier_error = abs(exact - _closed_form(parts, index, SQRT3, tempier.reference)) / exact
+    if abs(bion_error - tempier_error) <= TIE_TOLERANCE:
         return None
-    return Method.BION if bion < tempier else Method.TEMPIER
+    return bion if bion_error < tempier_error else tempier
 
 
 def rectified_quadrant(base_distance: float) -> RectificationResult:

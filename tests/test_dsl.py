@@ -276,6 +276,17 @@ def test_format_statement_rejects_a_non_statement():
         format_statement(object())
 
 
+def test_format_and_evaluate_take_statements_of_exact_type_only():
+    class Marked(LineDef):
+        __slots__ = LineDef.__slots__
+
+    line = Marked("L", "A", "B")
+    with pytest.raises(TypeError, match=r"^not a statement: \S*Marked\(name='L', a='A', b='B'\)$"):
+        format_statement(line)
+    with pytest.raises(TypeError, match=r"^not a statement: \S*Marked\("):
+        evaluate(Program((PointDef("A", Num(0.0), Num(0.0)), PointDef("B", Num(1.0), Num(0.0)), line)))
+
+
 def test_format_preserves_symbolic_tokens():
     text = format_program(parse("point V = (0, -sqrt3)\npoint W = (pi, 2.5)"))
     assert text == "point V = (0, -sqrt3)\npoint W = (pi, 2.5)\n"
@@ -820,6 +831,27 @@ def test_the_cursor_keeps_the_tokens_of_the_longest_statement_and_one_more():
     with pytest.raises(ParseError, match=r"^line 1, column 100019: unexpected character ';'$"):
         dsl._cursor_statement(longest + ")" * 100_000 + ";", 1)  # a stray character wins anywhere
 
+
+
+def _first_stray_by_walk(line: str) -> str | None:
+    """The unexpected-character message that walking every token of `line` finds first."""
+    bad = next((m for m in dsl._TOKEN_RE.finditer(line) if m.lastgroup == "bad"), None)
+    return None if bad is None else f"line 1, column {bad.start() + 1}: unexpected character {bad.group()!r}"
+
+
+@given(tail=st.text(alphabet=" \t#.+e5x_=(),-;\r\x0cé١", max_size=30))
+def test_the_cursor_finds_the_stray_character_a_full_token_walk_finds(tail):
+    # The longest statement fills the cursor's tokens; the tail is searched
+    # past them, at once or by a walk when it holds a '.' or '+'.
+    line = "point A = (-1, -2)" + tail
+    want = _first_stray_by_walk(line)
+    try:
+        dsl._cursor_statement(line, 1)
+    except ParseError as err:
+        assert want is None or str(err) == want
+        assert want is not None or "unexpected character" not in str(err)
+    else:
+        assert want is None
 
 def test_a_long_malformed_line_parses_in_little_memory():
     line = "point" + "=" * ((1 << 20) - 5)  # the longest line `vesica run` reads

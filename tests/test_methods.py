@@ -1,4 +1,7 @@
 import copy
+import dataclasses
+import hashlib
+import itertools
 import math
 import pickle
 import random
@@ -11,6 +14,7 @@ from vesica.dsl import evaluate, format_program, parse
 from vesica.geometry import VesicaError
 from vesica.methods import (
     DomainError,
+    ErrorRow,
     Method,
     PolygonResult,
     SQRT3,
@@ -374,6 +378,53 @@ def test_error_table_and_best_method_match_method_angle_bits():
         low, high = sorted(errors.values())
         assert best_method(n) is (None if high - low <= 1e-4 else min(errors, key=errors.get))
 
+
+
+
+def test_error_row_is_a_frozen_dataclass_with_its_own_constructor():
+    row = ErrorRow(9, 0.5, 0.25, 0.25, 0.5)
+    assert row == ErrorRow(n=9, exact=0.5, approx=0.25, error=0.25, rel_error=0.5)
+    assert repr(row) == "ErrorRow(n=9, exact=0.5, approx=0.25, error=0.25, rel_error=0.5)"
+    assert hash(row) == hash((9, 0.5, 0.25, 0.25, 0.5))
+    assert row != (9, 0.5, 0.25, 0.25, 0.5) and row != ErrorRow(9, 0.5, 0.25, 0.25, 0.25)
+    names = ("n", "exact", "approx", "error", "rel_error")
+    assert tuple(f.name for f in dataclasses.fields(ErrorRow)) == names == ErrorRow.__match_args__
+    assert not hasattr(row, "__dict__")
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(row, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(row, name)
+    moved = dataclasses.replace(row, approx=0.125)
+    assert moved == ErrorRow(9, 0.5, 0.125, 0.25, 0.5) and row.approx == 0.25
+    match moved:
+        case ErrorRow(n, exact, approx, error, rel_error):
+            assert (n, exact, approx, error, rel_error) == (9, 0.5, 0.125, 0.25, 0.5)
+    assert copy.copy(row) == row and pickle.loads(pickle.dumps(row)) == row
+    with pytest.raises(TypeError):
+        ErrorRow(9, 0.5, 0.25, 0.25)
+
+# sha256 over the repr of every field of every row of error_table(m, n, n + 511)
+# for both methods, the tables' starts stepping by their length from 4 (rows
+# for n = 4..3075) and at 10**6, 10**9 and 2**40, then over best_method(n) for
+# n = 4..3000.
+_TABLE_SHA256 = "267de53bf60ac702610ed47db8f51c7a4ededaa7a361e39bebe8f9cc343d7df0"
+
+
+def _table_digest() -> str:
+    digest = hashlib.sha256()
+    for m in Method:
+        for start in itertools.chain(range(4, 3001, 512), (10**6, 10**9, 2**40)):
+            for row in error_table(m, start, start + 511):
+                digest.update(f"{row.n!r} {row.exact!r} {row.approx!r} {row.error!r} {row.rel_error!r}\n".encode())
+    for n in range(4, 3001):
+        best = best_method(n)
+        digest.update(f"{n} {None if best is None else best.value}\n".encode())
+    return digest.hexdigest()
+
+
+def test_error_table_and_best_method_bits_are_pinned():
+    assert _table_digest() == _TABLE_SHA256
 
 # --- limits and comparison --------------------------------------------------------
 
