@@ -63,12 +63,16 @@ def is_fermat_prime(p: int) -> bool:
     return p in _FERMAT_PRIMES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Obstruction:
     """Why an n-gon is not constructible."""
 
     kind: str  # "repeated-prime" | "non-fermat-prime"
     prime: int
+
+    def __init__(self, kind: str, prime: int) -> None:
+        _set_kind(self, kind)
+        _set_prime(self, prime)
 
     def describe(self) -> str:
         if self.kind == "repeated-prime":
@@ -76,11 +80,17 @@ class Obstruction:
         return f"{self.prime} is not a Fermat prime"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ConstructibilityVerdict:
     """Factorization evidence for one n: n = 2^power_of_two * prod(odd_primes)
     with their exponents; constructible iff every odd prime is a Fermat prime
-    appearing exactly once."""
+    appearing exactly once.
+
+    Both verdict records are frozen dataclasses, so that ``dataclasses.replace``
+    copies them, with their own ``__init__``: the generated one stores each
+    field through ``object.__setattr__``.  These store through the slots'
+    bound setters, as ``methods.ErrorRow`` does.
+    """
 
     n: int
     constructible: bool
@@ -88,12 +98,26 @@ class ConstructibilityVerdict:
     odd_primes: tuple[int, ...]  # distinct, ascending
     obstruction: Obstruction | None = None
 
+    def __init__(self, n: int, constructible: bool, power_of_two: int,
+                 odd_primes: tuple[int, ...], obstruction: Obstruction | None = None) -> None:
+        _set_n(self, n)
+        _set_constructible(self, constructible)
+        _set_power_of_two(self, power_of_two)
+        _set_odd_primes(self, odd_primes)
+        _set_obstruction(self, obstruction)
+
     def describe(self) -> str:
         if self.constructible:
             parts = [f"2^{self.power_of_two}"] if self.power_of_two else []
             parts += [str(p) for p in self.odd_primes]
             return f"{self.n}: constructible ({self.n} = {' * '.join(parts)})"
         return f"{self.n}: NOT constructible ({self.obstruction.describe()})"
+
+
+# Taken from the classes the decorator returns: slots=True builds new ones.
+_set_kind, _set_prime = (getattr(Obstruction, name).__set__ for name in Obstruction.__slots__)
+_set_n, _set_constructible, _set_power_of_two, _set_odd_primes, _set_obstruction = (
+    getattr(ConstructibilityVerdict, name).__set__ for name in ConstructibilityVerdict.__slots__)
 
 
 def _is_prime(n: int) -> bool:
@@ -164,13 +188,7 @@ def check(n: int) -> ConstructibilityVerdict:
             obstruction = Obstruction("repeated-prime", prime)
         elif obstruction is None and not is_fermat_prime(prime):
             obstruction = Obstruction("non-fermat-prime", prime)
-    return ConstructibilityVerdict(
-        n=n,
-        constructible=obstruction is None,
-        power_of_two=power_of_two,
-        odd_primes=tuple(odd_primes),
-        obstruction=obstruction,
-    )
+    return ConstructibilityVerdict(n, obstruction is None, power_of_two, tuple(odd_primes), obstruction)
 
 
 def constructible_up_to(limit: int) -> list[int]:

@@ -39,7 +39,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter, is_
+from operator import is_
 
 from .geometry import (
     Circle,
@@ -551,26 +551,29 @@ def _unknown(fig: Figure, name: str, want: str = "point"):
     raise UnknownName(f"no {want} named {name!r}")
 
 
-# Selector kind -> (min or max, the coordinate it compares).
-_EXTREMES = {"upper": (max, attrgetter("y")), "lower": (min, attrgetter("y")),
-             "left": (min, attrgetter("x")), "right": (max, attrgetter("x"))}
-
-
 def _select(pick: Selector, points: list[Point], fig: Figure) -> Point:
     if not points:
         raise SelectorEmpty(f"selector {pick.kind!r} applied to an empty intersection")
-    # Kernel order is sorted ascending by (x, y); min/max keep the first
-    # extremal entry, so coordinate ties resolve to the kernel-order point.
-    if (extreme := _EXTREMES.get(pick.kind)) is not None:
-        return extreme[0](points, key=extreme[1])
-    if pick.kind == "first":
-        return points[0]
-    if pick.kind == "second":
+    # The kernel returns at most two points, sorted ascending by (x, y), so one
+    # comparison of the first and the last decides each selector.  Only a
+    # strict win takes the last: a tie resolves to the kernel-order point.
+    a, b, kind = points[0], points[-1], pick.kind
+    if kind == "upper":
+        return b if b.y > a.y else a
+    if kind == "lower":
+        return b if b.y < a.y else a
+    if kind == "left":
+        return b if b.x < a.x else a
+    if kind == "right":
+        return b if b.x > a.x else a
+    if kind == "first":
+        return a
+    if kind == "second":
         if len(points) < 2:
             raise SelectorEmpty("selector 'second' needs two intersection points")
         return points[1]
     anchor = fig.points.get(pick.ref) or _unknown(fig, pick.ref)  # "near", the one kind left
-    return min(points, key=lambda p: distance(anchor, p))
+    return b if distance(anchor, b) < distance(anchor, a) else a
 
 
 # The evaluated head, (statements, figure): set once at import by _set_head,
@@ -605,7 +608,7 @@ def evaluate(program: Program) -> Figure:
     """
     statements, (head, done) = program.statements, _HEAD
     if len(statements) >= len(head) and all(map(is_, statements, head)):
-        fig = Figure(dict(done.points), dict(done.curves), dict(done.scalars))
+        fig = Figure(done.points.copy(), done.curves.copy(), done.scalars.copy())
         statements = statements[len(head):]
     else:
         fig = Figure()

@@ -39,26 +39,34 @@ class BadIndex(GeometryError):
 
 
 class _Record:
-    """Immutable value whose fields are the subclass's __slots__, in order.
+    """Immutable value whose fields are slots, in declaration order.
 
     Behaves as a frozen dataclass: one constructor takes each field once, by
     position or keyword; __eq__ is field-wise within one class, __hash__ that
     of the field tuple; the repr is ``Name(field=value, ...)``; fields match
-    by position and are read-only.  Point, Line, Circle, Num, Selector,
-    Intersect and Program check their arguments in their own __init__, then
-    store through the bound setters in ``_stores``, a call cheaper than this
-    constructor's, as the kernel and method programs build thousands; Divide,
-    one per method program, stores through them unchecked.
+    by position and are read-only.  The field names are ``__match_args__``:
+    a subclass's are its parent's, then any slots it adds, so one declaring
+    ``__slots__ = ()`` keeps its parent's fields, and ``_stores`` holds each
+    field's bound slot setter, taken from the subclass.
+
+    Point, Line, Circle, Num, Selector, Intersect and Program check their
+    arguments in their own __init__, then store through those setters, a call
+    cheaper than this constructor's, as the kernel and method programs build
+    thousands; Divide, one per method program, stores through them unchecked.
+    The frozen dataclasses ``methods.ErrorRow`` and the ``constructible``
+    verdicts store through their own slots' setters the same way.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls.__match_args__ = cls.__slots__
-        cls._stores = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        inherited = getattr(cls, "__match_args__", ())
+        added = tuple([name for name in cls.__dict__.get("__slots__", ()) if name not in inherited])
+        cls.__match_args__ = fields = inherited + added
+        cls._stores = tuple([getattr(cls, name).__set__ for name in fields])
 
     def __init__(self, *args, **kwargs) -> None:
-        fields = self.__slots__
+        fields = self.__match_args__
         if kwargs or len(args) != len(fields):
             args += tuple([kwargs.pop(name) for name in fields[len(args):] if name in kwargs])
             if kwargs or len(args) != len(fields):
@@ -69,7 +77,7 @@ class _Record:
             i += 1
 
     def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self.__match_args__])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -86,7 +94,7 @@ class _Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{self.__class__.__qualname__}({body})"
 
     def __reduce__(self):  # pickle and copy rebuild through the constructor

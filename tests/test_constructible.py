@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import hashlib
+import itertools
+import pickle
 import random
 from math import isqrt
 
@@ -6,6 +11,7 @@ import pytest
 from vesica.constructible import (
     ConstructibilityVerdict,
     FACTOR_LIMIT,
+    Obstruction,
     _factor,
     _is_prime,
     check,
@@ -250,3 +256,101 @@ def test_factor_matches_naive_oracle_on_large_primes_and_semiprimes():
     for n in primes + semiprimes:
         assert _factor(n) == sorted(_naive_factor(n).items()), n
     assert [_factor(p) for p in primes] == [[(p, 1)] for p in primes]
+
+
+# --- the verdict records ----------------------------------------------------------
+
+
+def test_verdict_records_are_frozen_dataclasses_with_their_own_constructors():
+    obstruction = Obstruction("repeated-prime", 3)
+    assert obstruction == Obstruction(kind="repeated-prime", prime=3)
+    assert repr(obstruction) == "Obstruction(kind='repeated-prime', prime=3)"
+    verdict = ConstructibilityVerdict(9, False, 0, (3,), obstruction)
+    assert verdict == ConstructibilityVerdict(
+        n=9, constructible=False, power_of_two=0, odd_primes=(3,), obstruction=obstruction)
+    assert verdict == check(9)
+    assert repr(verdict) == ("ConstructibilityVerdict(n=9, constructible=False, power_of_two=0, "
+                             "odd_primes=(3,), obstruction=Obstruction(kind='repeated-prime', prime=3))")
+    plain = ConstructibilityVerdict(12, True, 2, (3,))
+    assert plain.obstruction is None and plain == ConstructibilityVerdict(12, True, 2, (3,), None)
+    assert plain == ConstructibilityVerdict(n=12, constructible=True, power_of_two=2, odd_primes=(3,))
+    assert hash(obstruction) == hash(("repeated-prime", 3))
+    assert hash(verdict) == hash((9, False, 0, (3,), obstruction))
+    assert verdict != (9, False, 0, (3,), obstruction) and verdict != plain
+    assert obstruction != Obstruction("non-fermat-prime", 3)
+    for record, names in (
+        (obstruction, ("kind", "prime")),
+        (verdict, ("n", "constructible", "power_of_two", "odd_primes", "obstruction")),
+    ):
+        cls = type(record)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names == cls.__match_args__
+        assert not hasattr(record, "__dict__")
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+        assert copy.copy(record) == record and pickle.loads(pickle.dumps(record)) == record
+    moved = dataclasses.replace(verdict, obstruction=dataclasses.replace(obstruction, prime=5))
+    assert moved == ConstructibilityVerdict(9, False, 0, (3,), Obstruction("repeated-prime", 5))
+    assert verdict.obstruction.prime == 3
+    match moved:
+        case ConstructibilityVerdict(n, constructible, power_of_two, odd_primes, Obstruction(kind, prime)):
+            assert (n, constructible, power_of_two, odd_primes, kind, prime) == (
+                9, False, 0, (3,), "repeated-prime", 5)
+    for build in (
+        lambda: Obstruction("repeated-prime"),
+        lambda: Obstruction("repeated-prime", 3, 5),
+        lambda: Obstruction("repeated-prime", prime=3, n=9),
+        lambda: ConstructibilityVerdict(9, False, 0),
+        lambda: ConstructibilityVerdict(9, False, 0, (3,), obstruction, None),
+        lambda: ConstructibilityVerdict(9, False, 0, (3,), n=9),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+# --- pinned verdicts --------------------------------------------------------------
+
+# sha256 over repr(check(n)), one per line, for n = 3..30000 and then 200 seeded
+# n near 2^32 of each kind in turn: primes, Fermat products times 2^k, squares of
+# primes near 2^16, and multiples of a non-Fermat prime below 2^16.
+_CHECK_SHA256 = "87f8e91e2fb55ea1c0f851f90ee093b7d32ff8404265f87c4e46a2d15c4db3f8"
+
+
+def _near_2_32(rng: random.Random) -> list[int]:
+    top = 2**32
+    primes = []
+    while len(primes) < 200:
+        n = rng.randrange(top - 2**24, top) | 1
+        while not _is_prime(n):
+            n -= 2
+        primes.append(n)
+    products = (1, 3, 5, 17, 257, 3 * 5 * 17 * 257, 65537, 3 * 65537, 5 * 17 * 65537)  # ascending
+    fermat = []
+    for _ in range(200):
+        f = rng.choice(products)
+        k = (top // f).bit_length() - 1 - rng.randrange(4)  # f * 2^k in (2^28, 2^32]
+        fermat.append(f << k)
+    squares = []
+    while len(squares) < 200:
+        p = rng.randrange(2**15, 2**16) | 1
+        if _is_prime(p):
+            squares.append(p * p)
+    non_fermat = []
+    while len(non_fermat) < 200:
+        p = rng.randrange(7, 2**16) | 1
+        if _is_prime(p) and not is_fermat_prime(p):
+            non_fermat.append(p * rng.randrange((top - 2**24) // p, top // p + 1))
+    return primes + fermat + squares + non_fermat
+
+
+def _check_digest() -> str:
+    digest = hashlib.sha256()
+    for n in itertools.chain(range(3, 30001), _near_2_32(random.Random(20150325))):
+        digest.update(f"{check(n)!r}\n".encode())
+    return digest.hexdigest()
+
+
+def test_check_verdicts_are_pinned():
+    assert _check_digest() == _CHECK_SHA256

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vesica import dsl, methods
+from vesica import dsl, geometry, methods
 from vesica.dsl import (
     CircleDef,
     CircleRadDef,
@@ -32,7 +32,7 @@ from vesica.dsl import (
     format_statement,
     parse,
 )
-from vesica.geometry import CoincidentCurves, VesicaError
+from vesica.geometry import CoincidentCurves, Point, VesicaError, distance
 from vesica.methods import Method, method_program, polygon
 
 from corpus import HANDWRITTEN_PROGRAMS, MALFORMED_PROGRAMS
@@ -379,6 +379,58 @@ def test_selector_second_on_tangency():
     )
     with pytest.raises(SelectorEmpty):
         evaluate(parse(text))
+
+
+_UNIT_CIRCLE = "point C = (0, 0)\npoint R = (1, 0)\ncircle main = C R\n"
+
+
+@pytest.mark.parametrize("chord, selectors", [
+    ("point W = (-2, 0)\npoint E = (2, 0)\nline L = W E\npoint Q = (0, 5)\n",
+     ["upper", "lower", "near Q"]),
+    ("point S = (0, -2)\npoint N = (0, 2)\nline L = S N\npoint Q = (5, 0)\n",
+     ["left", "right", "near Q"]),
+])
+def test_selector_ties_go_to_the_first_point_in_kernel_order(chord, selectors):
+    # a horizontal chord ties on y, a vertical one on x; Q is equidistant from both hits
+    fig = evaluate(parse(_UNIT_CIRCLE + chord))
+    first, last = geometry.intersect(fig.curves["L"], fig.curves["main"])
+    assert (first.x, first.y) < (last.x, last.y)
+    assert first.y == last.y if selectors[0] == "upper" else first.x == last.x
+    assert distance(fig.points["Q"], first) == distance(fig.points["Q"], last)
+    for selector in selectors:
+        fig = evaluate(parse(_UNIT_CIRCLE + chord + f"intersect X = L main pick {selector}"))
+        assert fig.points["X"] == first, selector
+
+
+@pytest.mark.parametrize("selector", ["first", "upper", "lower", "left", "right", "near Q"])
+def test_every_selector_takes_the_tangent_point(selector):
+    text = _UNIT_CIRCLE + "point A = (-2, 1)\npoint B = (2, 1)\nline t = A B\npoint Q = (3, 3)\n"
+    fig = evaluate(parse(text + f"intersect X = t main pick {selector}"))
+    assert fig.points["X"] == Point(0.0, 1.0)  # `second` raises: test_selector_second_on_tangency
+
+
+_FIRST_WINS = {"upper": (max, "y"), "lower": (min, "y"), "left": (min, "x"), "right": (max, "x")}
+_tie_prone = st.builds(Point, *[st.sampled_from([0.0, 1.0])] * 2)
+
+
+@pytest.mark.parametrize("kind", ["first", "second", "upper", "lower", "left", "right", "near"])
+@given(hits=st.lists(_tie_prone, max_size=2), anchor=st.builds(Point, *[st.sampled_from([0.0, 0.5, 1.0])] * 2))
+def test_select_matches_a_first_wins_reference(kind, hits, anchor):
+    # min and max keep the first of equal keys; `is` tells equal points apart
+    fig = dsl.Figure({"Q": anchor})
+    pick = Selector(kind, "Q" if kind == "near" else None)
+    if not hits or (kind == "second" and len(hits) < 2):
+        with pytest.raises(SelectorEmpty):
+            dsl._select(pick, hits, fig)
+        return
+    if kind in _FIRST_WINS:
+        extreme, axis = _FIRST_WINS[kind]
+        expected = extreme(hits, key=lambda p: getattr(p, axis))
+    elif kind == "near":
+        expected = min(hits, key=lambda p: distance(anchor, p))
+    else:
+        expected = hits[kind == "second"]
+    assert dsl._select(pick, hits, fig) is expected
 
 
 def test_both_needs_two_points():

@@ -15,6 +15,7 @@ from vesica.geometry import (
     Circle,
     CoincidentCurves,
     DegenerateAngle,
+    EPS_GEOM,
     GeometryError,
     Line,
     Point,
@@ -149,6 +150,39 @@ def test_record_constructor_rejects_bad_arguments(value, text, names):
     ]:
         with pytest.raises(TypeError):
             cls(*args, **kwargs)
+
+
+class _BarePoint(Point):
+    __slots__ = ()
+
+
+class _BareLineDef(dsl.LineDef):
+    __slots__ = ()
+
+
+def test_record_subclass_without_new_slots_keeps_its_parents_fields():
+    point = _BarePoint(1.0, 2.0)
+    assert _BarePoint.__match_args__ == ("x", "y")
+    assert point == _BarePoint(y=2.0, x=1.0) and hash(point) == hash((1.0, 2.0))
+    assert point != _BarePoint(3.0, 4.0) and hash(point) != hash(_BarePoint(3.0, 4.0))
+    assert point != Point(1.0, 2.0)
+    assert repr(point) == "_BarePoint(x=1.0, y=2.0)"
+    with pytest.raises(VesicaError):  # Point's own checks still run
+        _BarePoint(math.nan, 0.0)
+    line = _BareLineDef("L", "A", "B")
+    assert line == _BareLineDef(name="L", a="A", b="B") != _BareLineDef("M", "A", "B")
+    assert repr(line) == "_BareLineDef(name='L', a='A', b='B')"
+    for value in (point, line):
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(clone) is type(value) and clone == value
+        with pytest.raises(AttributeError):
+            object.__setattr__(value, "extra", 1)
+    for args in ((1.0,), (1.0, 2.0, 3.0)):
+        with pytest.raises(TypeError):
+            _BarePoint(*args)
+    for args in (("L", "A"), ("L", "A", "B", "C")):
+        with pytest.raises(TypeError, match=r"^_BareLineDef\(\) takes name, a, b once each$"):
+            _BareLineDef(*args)
 
 
 def test_record_defaults():
@@ -417,14 +451,16 @@ def test_intersections_lie_on_both_curves(a, b):
 
 @given(a=curves, b=curves)
 def test_intersection_ordering_is_deterministic(a, b):
+    # at most two points, ascending by (x, y): dsl._select compares the first and last
     first = _intersect_or_discard(a, b)
     assert first == _intersect_or_discard(a, b)
+    assert len(first) <= 2
     if len(first) == 2:
         p1, p2 = first
-        if abs(p1.x - p2.x) > 1e-9:
+        if abs(p1.x - p2.x) > EPS_GEOM:
             assert p1.x < p2.x
-        else:
-            assert p1.y <= p2.y + 1e-9
+        elif abs(p1.y - p2.y) > EPS_GEOM:
+            assert p1.y < p2.y
 
 
 @given(v=points, p=points, q=points)
