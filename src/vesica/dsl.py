@@ -615,7 +615,7 @@ def evaluate(program: Program) -> Figure:
     points, curves, scalars = fig.points, fig.curves, fig.scalars
     point, curve = points.get, curves.get  # every bound value is truthy: `or` takes only a miss
     for stmt in statements:
-        kind, second = type(stmt), None
+        kind = type(stmt)
         if kind is Divide:
             store, name = points, stmt.name
             value = divide_segment(point(stmt.start) or _unknown(fig, stmt.start),
@@ -632,8 +632,11 @@ def evaluate(program: Program) -> Figure:
             elif len(hits) < 2:
                 raise SelectorEmpty(f"binding {name!r} and {stmt.names[1]!r} needs two "
                                     f"intersection points, got {len(hits)}")
-            else:
-                value, second = hits[0], (stmt.names[1], hits[1])
+            else:  # the first point binds here, the second below
+                if name in points or name in curves or name in scalars:
+                    raise DuplicateName(f"name {name!r} is already defined")
+                points[name] = hits[0]
+                name, value = stmt.names[1], hits[1]
         elif kind is MeasureAngle:
             store, name = scalars, stmt.name
             value = measure_angle(point(stmt.vertex) or _unknown(fig, stmt.vertex),
@@ -651,11 +654,7 @@ def evaluate(program: Program) -> Figure:
             value = Circle(point(stmt.center) or _unknown(fig, stmt.center), radius)
         else:
             raise TypeError(f"not a statement: {stmt!r}")
-        while True:  # once, or twice for the two points of a two-name intersect
-            if name in points or name in curves or name in scalars:
-                raise DuplicateName(f"name {name!r} is already defined")
-            store[name] = value
-            if second is None:
-                break
-            (name, value), second = second, None
+        if name in points or name in curves or name in scalars:
+            raise DuplicateName(f"name {name!r} is already defined")
+        store[name] = value
     return fig

@@ -4,15 +4,25 @@ The world y-axis points up (math orientation, base point V below the
 diameter); SVG's points down, so the mapping to pixel space flips y.  The
 canvas is 640 px wide, padded by 8 % of the content span.  There are no
 options beyond `labels`, and the same figure always gives the same bytes.
-Elements print through `%` templates with `%.2f` numbers, which match `fixed(v, 2)`,
-the exact rule, except at ties and -0.00; a fill that holds one prints through `fixed`.
+
+A document is one `%` template filled with numbers only: floats for `%.2f` and the
+polygon's vertex numbers for `V%d`.  Each point name, escaped for XML with every `%`
+doubled, is written into its own label's template, and the closure-gap text into the
+gap's, before the numbers go in.  `%.2f` prints what `fixed(v, 2)`, the exact rule,
+prints except at ties and -0.00, and a document that holds one prints through `fixed`.
+A tie at two decimals is (2k + 1)/200 for an integer k, and a double is a fraction
+over a power of two, so a tie is a double only when 25 divides 2k + 1: it is an odd
+multiple of 1/8.  `v * 8.0` is exact, or infinite only for a v that is an integer
+already, so C picks out the multiples of 1/8 as the values whose product is an
+integer, and only those are tested for `% 0.25 == 0.125`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import chain
+import re
+from itertools import chain, compress, repeat
 
 from .dsl import Figure
 from .geometry import Circle, Line, Point, VesicaError, rotate
@@ -26,18 +36,21 @@ _MARKER = 3.0 * 1.5  # side of a point's square marker: three stroke widths
 _HALF, _OFFSET = _MARKER / 2, _MARKER + 2.0  # a marker's corner and its label, off the point
 _STROKE = 'stroke="#000000" stroke-width="1.50"'
 _LABEL = 'font-family="monospace" font-size="12" fill="#555555"'
-_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "%": "%%"})
+# a character XML 1.0 cannot hold: a C0 control but tab, LF and CR, a surrogate, U+FFFE, U+FFFF;
+# `re` compiles it at its first search, so a process that draws no label never pays for that
+_NOT_XML = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
-# The element templates: every %.2f takes a float, every %s an escaped name.
+# The element templates: every %.2f takes a float, every %d a vertex number.
 _HEAD = ('<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" '
          'version="1.1" width="%.2f" height="%.2f" viewBox="0 0 %.2f %.2f">\n')
 _CIRCLE = f'<circle cx="%.2f" cy="%.2f" r="%.2f" fill="none" {_STROKE}/>'
 _LINE = f'<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" {_STROKE}/>'
 _RECT = '<rect x="%%.2f" y="%%.2f" width="%.2f" height="%.2f" fill="#000000"/>' % (_MARKER, _MARKER)
-_NAMED = _RECT + f'\n<text x="%.2f" y="%.2f" {_LABEL}>%s</text>'  # a marker and its label
-_VERTEX = _NAMED.replace(">%s<", ">V%d<")  # a polygon's k-th marker, labelled Vk
+_NAMED = _RECT + f'\n<text x="%.2f" y="%.2f" {_LABEL}>'  # a marker and its label, up to the name
+_VERTEX = _NAMED + "V%d</text>"  # a polygon's k-th marker, labelled Vk
 _POLYLINE = f'<polyline points="%s" fill="none" {_STROKE}/>'  # %s: one "%.2f,%.2f" per vertex
-_GAP = f'<text x="8.00" y="16.00" {_LABEL}>closure gap %s rad</text>'
+_GAP = f'<text x="8.00" y="16.00" {_LABEL}>closure gap %s rad</text>'  # %s: filled first
 
 
 class EmptyFigure(VesicaError):
@@ -69,11 +82,13 @@ def fixed(value: float, decimals: int) -> str:
 
 def _numbers(template: str, values: list) -> str:
     """`template % values`, each float as `fixed(v, 2)` prints it: `%.2f` does but for
-    ties (odd multiples of 1/8) and -0.00, so where one shows, `fixed` prints each float."""
+    ties (odd multiples of 1/8) and -0.00, so where one shows, `fixed` prints each float
+    into a `%s`.  The template's `%%` are literal percent signs, never part of a `%.2f`."""
     text = template % tuple(values)
-    if "-0.00" in text or any(isinstance(v, float) and v % 0.25 == 0.125 for v in values):
-        texts = [fixed(v, 2) if isinstance(v, float) else v for v in values]
-        return template.replace("%.2f", "%s") % tuple(texts)
+    eighths = compress(values, map(float.is_integer, map(operator.mul, values, repeat(8.0))))
+    if "-0.00" in text or 0.125 in map(operator.mod, eighths, repeat(0.25)):
+        texts = tuple([fixed(v, 2) if isinstance(v, float) else v for v in values])
+        return "%%".join([part.replace("%.2f", "%s") for part in template.split("%%")]) % texts
     return text
 
 
@@ -133,12 +148,15 @@ def _clip_line(line: Line, box: tuple[float, float, float, float]) -> tuple[Poin
     return Point(px + t_low * dx, py + t_low * dy), Point(px + t_high * dx, py + t_high * dy)
 
 
-def _marks(pixels, names):
-    """The values of a marker at each pixel pair, then of its label if `names` is given."""
-    if names is None:
+def _marks(pixels, labels: bool, numbered: bool = False):
+    """The values of a marker at each pixel pair, then of its label's corner if `labels`,
+    then of the label's number, its index, if also `numbered`."""
+    if not labels:
         return chain.from_iterable([(x - _HALF, y - _HALF) for x, y in pixels])
-    return chain.from_iterable([(x - _HALF, y - _HALF, x + _OFFSET, y - _OFFSET, name)
-                                for (x, y), name in zip(pixels, names)])
+    if not numbered:
+        return chain.from_iterable([(x - _HALF, y - _HALF, x + _OFFSET, y - _OFFSET) for x, y in pixels])
+    return chain.from_iterable([(x - _HALF, y - _HALF, x + _OFFSET, y - _OFFSET, k)
+                                for k, (x, y) in enumerate(pixels)])
 
 
 def render_svg(fig: Figure, labels: bool = True) -> str:
@@ -146,11 +164,17 @@ def render_svg(fig: Figure, labels: bool = True) -> str:
 
     Circles map to circle elements, infinite lines are clipped to the padded
     view, points become small square markers, labelled unless `labels` is
-    false.  Measured scalars are not drawn.
+    false.  Measured scalars are not drawn.  A label whose name holds a
+    character XML cannot hold is refused with a VesicaError.
     """
-    if not fig.points and not fig.curves:
+    points = fig.points
+    if not points and not fig.curves:
         raise EmptyFigure("figure has no points or curves to render")
-    canvas = _Canvas(_bounds_of(fig.points.values(), fig.curves.values()))
+    if labels and re.search(_NOT_XML, "".join(points)):
+        name = next(name for name in points if re.search(_NOT_XML, name))
+        raise VesicaError(f"cannot draw the point name {name!r}: XML cannot hold "
+                          f"{re.search(_NOT_XML, name)[0]!r}")
+    canvas = _Canvas(_bounds_of(points.values(), fig.curves.values()))
     body: list[str] = []
     values: list = []
     box = (canvas.x0, canvas.y0, canvas.x1, canvas.y1)
@@ -161,9 +185,11 @@ def render_svg(fig: Figure, labels: bool = True) -> str:
         else:  # filled alone, as a clipped end may print -0.00; the text holds no %
             a, b = _clip_line(curve, box)
             body.append(_numbers(_LINE, [*canvas.xy(a), *canvas.xy(b)]))
-    names = [name.translate(_XML_ESCAPES) for name in fig.points] if labels else None
-    values += _marks(map(canvas.xy, fig.points.values()), names)
-    body += [_NAMED if labels else _RECT] * len(fig.points)
+    values += _marks(map(canvas.xy, points.values()), labels)
+    if labels:
+        body += [_NAMED + name.translate(_XML_ESCAPES) + "</text>" for name in points]
+    else:
+        body += [_RECT] * len(points)
     return canvas.document(body, values)
 
 
@@ -178,9 +204,9 @@ def render_polygon(result: PolygonResult, labels: bool = True) -> str:
     ring = [*result.vertices, rotate(result.vertices[0], Point(0.0, 0.0), n * result.step_angle)]
     pixels = list(map(canvas.xy, ring))  # each vertex's pixel pair, for the ring and its marker
     values = [*canvas.xy(Point(0.0, 0.0)), canvas.scale, *chain.from_iterable(pixels)]
-    values += _marks(pixels[:n], range(n) if labels else None)
+    values += _marks(pixels[:n], labels, numbered=True)
     gap = fixed(result.closure_gap, 6)
     gap = gap if gap[0] == "-" else "+" + gap  # a gap printing as zero reads +0.000000
     polyline = _POLYLINE % " ".join(["%.2f,%.2f"] * (n + 1))
     marks = [_VERTEX if labels else _RECT] * n
-    return canvas.document([_CIRCLE, polyline, *marks, _GAP], [*values, gap])
+    return canvas.document([_CIRCLE, polyline, *marks, _GAP % gap], values)

@@ -489,6 +489,27 @@ def test_duplicate_name_across_namespaces():
         )
 
 
+_TWO_CIRCLES = ("point A = (0, 0)\npoint B = (1, 0)\ncircle c = A B\ncircle d = B A\n"
+                "line L = A B\nangle t = A B B\n")
+
+
+@pytest.mark.parametrize("taken", ["A", "c", "L", "t"])
+@pytest.mark.parametrize("first", [True, False])
+def test_two_name_intersect_reports_either_duplicate_name(taken, first):
+    names = f"{taken} Y" if first else f"X {taken}"
+    with pytest.raises(DuplicateName) as err:
+        evaluate(parse(_TWO_CIRCLES + f"intersect {names} = c d"))
+    assert str(err.value) == f"name {taken!r} is already defined"
+
+
+def test_two_name_intersect_reports_equal_names():
+    with pytest.raises(DuplicateName) as err:
+        evaluate(parse(_TWO_CIRCLES + "intersect X X = c d"))
+    assert str(err.value) == "name 'X' is already defined"
+    fig = evaluate(parse(_TWO_CIRCLES + "intersect X Y = c d"))
+    assert list(fig.points) == ["A", "B", "X", "Y"]
+
+
 def test_coincident_curves_propagates():
     text = (
         "point A = (0, 0)\npoint B = (1, 0)\npoint C = (2, 0)\n"

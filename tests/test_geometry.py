@@ -302,6 +302,34 @@ def test_coincident_curves_raise():
         intersect(Line(Point(0, 0), Point(1, 0)), Line(Point(2, 0), Point(3, 0)))
 
 
+def test_unit_circles_off_the_axis_meet_where_derived():
+    # |P - (0, 1)| = |P - (1, 1)| = 1 gives x = 1/2 and (y - 1)^2 = 3/4.
+    h = SQRT3 / 2
+    for a, b in ((Point(0, 1), Point(1, 1)), (Point(1, 1), Point(0, 1))):
+        pts = intersect(Circle(a, 1.0), Circle(b, 1.0))
+        assert [(p.x, p.y) for p in pts] == [
+            (pytest.approx(0.5, abs=1e-12), pytest.approx(1 - h, abs=1e-12)),
+            (pytest.approx(0.5, abs=1e-12), pytest.approx(1 + h, abs=1e-12))]
+
+
+@pytest.mark.parametrize("l1, l2", [
+    # the same slanted line y = x/2, anchored apart
+    (Line(Point(0, 0), Point(2, 1)), Line(Point(4, 2), Point(6, 3))),
+    # y = x/2 and an anchor 1e-10 above it: 1e-10 * cos(atan(1/2)), about 9e-11, apart
+    (Line(Point(0, 0), Point(1000, 500)), Line(Point(2000, 1000 + 1e-10), Point(3000, 1500 + 1e-10))),
+], ids=["slope-half", "long-anchors-9e-11-apart"])
+def test_slanted_coincident_lines_raise(l1, l2):
+    for a, b in ((l1, l2), (l2, l1)):
+        with pytest.raises(CoincidentCurves):
+            intersect(a, b)
+
+
+def test_nearly_parallel_lines_with_long_anchors_do_not_meet():
+    # Unit directions differ by 1e-13 rad, below EPS_GEOM, and the lines lie 1 apart.
+    l1, l2 = Line(Point(0, 0), Point(1000, 0)), Line(Point(0, 1), Point(1000, 1 + 1e-10))
+    assert intersect(l1, l2) == [] == intersect(l2, l1)
+
+
 def test_circles_too_far_out_to_square_raise():
     # float ** 2 overflows past ~1.3e154; the kernel reports that as a GeometryError.
     with pytest.raises(GeometryError, match="too large to intersect"):

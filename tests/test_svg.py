@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -252,9 +253,10 @@ def test_labels_are_xml_escaped():
 
 
 def _filled_by_fixed(template, values):
-    """`template` with each float as `fixed(v, 2)` prints it: what `_numbers` must return."""
+    """`template` with each float as `fixed(v, 2)` prints it: what `_numbers` must return.
+    Each `%%` is a literal percent sign, so a `%.2f` right after one is not a number's."""
     texts = tuple(fixed(v, 2) if isinstance(v, float) else v for v in values)
-    return template.replace("%.2f", "%s") % texts
+    return re.sub(r"%(%|\.2f)", lambda m: "%%" if m[1] == "%" else "%s", template) % texts
 
 
 # odd multiples of 1/8, the ties at two decimals, from 0.125 up to just past 2**40
@@ -282,13 +284,43 @@ def test_numbers_print_one_tie_among_several_values_as_fixed_does():
         assert _numbers(template, values) == _filled_by_fixed(template, values)
 
 
+def _odd_eighths(m, negative):
+    """(2m + 1)/8, an odd multiple of 1/8: every one below 2**50 is a double."""
+    return (-1) ** negative * (2 * m + 1) / 8
+
+
+_SMALLEST_NORMAL = 2.0**-1022
+_mixed_values = st.one_of(
+    st.integers(-10**6, 10**6),  # a vertex number: never a tie
+    st.builds(_odd_eighths, st.integers(0, 2**52 - 1), st.booleans()),
+    st.floats(-_SMALLEST_NORMAL, _SMALLEST_NORMAL),  # subnormals and both zeros
+    st.sampled_from([-0.0, 1.7e308, -1.7e308, 2.0**50 - 0.125, 0.125, 5e-324]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@given(st.lists(_mixed_values, max_size=12))
+def test_numbers_print_ints_and_floats_as_fixed_does(values):
+    template = "<".join("%d" if type(v) is int else "%.2f" for v in values)
+    assert _numbers(template, values) == _filled_by_fixed(template, values)
+
+
+@pytest.mark.parametrize("value", [1.7e308, -1.7e308, 5e-324, -5e-324, 2.0**-1030, -0.0,
+                                   2.0**50 - 0.125, -(2.0**50 - 0.375), 2.0**50 + 0.25])
+def test_numbers_find_ties_past_the_edges_of_the_multiples_of_an_eighth(value):
+    assert math.isinf(1.7e308 * 8.0)  # its product is inf, which is no integer
+    for template, values in (("%d %.2f %.2f", [3, value, 0.125]), ("%d %.2f", [3, value]),
+                             ("%.2f", [value])):
+        assert _numbers(template, values) == _filled_by_fixed(template, values)
+
+
 _coords = st.floats(-1e3, 1e3, allow_nan=False)
 _points = st.builds(Point, _coords, _coords)
 
 
 @st.composite
 def _figures(draw):
-    names = st.text("ABCxyz_0123%<&-", min_size=1, max_size=4)
+    names = st.text("ABCxyz_0123%<&-.2f", min_size=1, max_size=4)
     points = draw(st.dictionaries(names, _points, max_size=6))
     curves = {}
     for i, (a, b) in enumerate(draw(st.lists(st.tuples(_points, _points), max_size=4))):
@@ -327,6 +359,48 @@ def test_names_with_percent_signs_print_verbatim():
     ns = "{http://www.w3.org/2000/svg}"
     assert [text.text for text in root.iter(ns + "text")] == names
     assert len(list(root.iter(ns + "rect"))) == len(fig.points)
+
+
+@pytest.mark.parametrize("name, point, shown", [
+    # with corners (0, 0) and (1, 1), this point's marker is at x = 42.125 px, a tie
+    ("%.2f%%.2f", Point(0.0004296875000000106, 0.5), 'x="42.13"'),
+    # every pixel of a point is 44 px or more inside the canvas, so only a name prints -0.00
+    ("%-0.00", Point(0.25, 0.5), ">%-0.00<"),
+], ids=["tie", "negative-zero"])
+def test_names_with_percent_signs_print_verbatim_through_fixed(name, point, shown):
+    names = ["a%.2fb", "%%", "100%", name]
+    fig = Figure(points=dict(zip(names, [Point(0.0, 0.0), Point(1.0, 1.0), Point(0.75, 0.25), point])))
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(svg, "fixed", lambda *args: calls.append(args) or fixed(*args))
+        doc = render_svg(fig)
+    assert calls  # the document went through the fallback
+    assert shown in doc
+    root = ET.fromstring(doc)
+    assert [text.text for text in root.iter("{http://www.w3.org/2000/svg}text")] == names
+
+
+_XML_REFUSED = [*(chr(c) for c in range(32) if chr(c) not in "\t\n\r"),
+                "\ud800", "\udfff", "\ufffe", "\uffff"]
+
+
+@pytest.mark.parametrize("char", _XML_REFUSED, ids=[f"U+{ord(c):04X}" for c in _XML_REFUSED])
+def test_names_xml_cannot_hold_are_refused(char):
+    name = f"a{char}b"
+    fig = Figure(points={"B": Point(1.0, 1.0), name: Point(0.0, 0.0)})
+    with pytest.raises(VesicaError) as err:
+        render_svg(fig)
+    assert type(err.value) is VesicaError
+    assert str(err.value) == f"cannot draw the point name {name!r}: XML cannot hold {char!r}"
+    ET.fromstring(render_svg(fig, labels=False).encode())  # unlabelled, the name is not drawn
+
+
+@pytest.mark.parametrize("char", ["\t", "\n", "\r", " ", "\ud7ff", "\ue000", "\ufffd",
+                                  "\U00010000", "\U0010ffff"])
+def test_names_xml_can_hold_are_drawn(char):
+    fig = Figure(points={"B": Point(1.0, 1.0), f"a{char}b": Point(0.0, 0.0)})
+    root = ET.fromstring(render_svg(fig).encode())
+    assert len(list(root.iter("{http://www.w3.org/2000/svg}text"))) == 2
 
 
 # sha256 of every document below and the CLI's stdout beside each file it
