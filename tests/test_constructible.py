@@ -12,6 +12,7 @@ from vesica.constructible import (
     ConstructibilityVerdict,
     FACTOR_LIMIT,
     Obstruction,
+    _FJ_BASES,
     _factor,
     _is_prime,
     check,
@@ -228,6 +229,8 @@ def test_is_prime_matches_a_sieve_below_a_million():
     3215031751,  # strong pseudoprime to bases 2 and 7
     561, 1105, 1729, 41041, 825265, 321197185,  # Carmichael numbers
     65519 * 65521, 65521**2,  # the costliest n for the scan
+    # strong pseudoprimes to their own hashed base, rejected by division by 2, 3, 5 and 7
+    7 * 11 * 31 * 173, 3 * 397 * 631, 7 * 11 * 101 * 163,
 ])
 def test_is_prime_rejects_pseudoprimes_and_carmichael_numbers(n):
     assert not _is_prime(n)
@@ -239,11 +242,26 @@ def test_is_prime_accepts_the_largest_primes_below_2_32():
 
 
 def test_factor_limit_is_within_the_proven_range_of_the_bases():
-    # 48781 * 97561 is the least composite that passes bases 2, 7 and 61:
-    # raising FACTOR_LIMIT past it needs another base set
-    assert 48781 * 97561 == 4_759_123_141
-    assert _is_prime(4_759_123_141)
-    assert FACTOR_LIMIT < 4_759_123_141
+    # 11411 * 376531 is the least composite that passes the hashed round (bucket
+    # 84, base 7559): raising FACTOR_LIMIT past it needs another base set.  A
+    # hash masked to 32 bits picks bucket 201 and rejects it, so this also pins
+    # the unbounded hash
+    assert 11411 * 376531 == 4_296_595_241
+    assert _is_prime(4_296_595_241)
+    assert FACTOR_LIMIT < 4_296_595_241
+
+
+def test_miller_rabin_bases_are_pinned():
+    # the 256 bases of Forisek and Jancina (2015), as sympy 1.14 lists them
+    assert len(_FJ_BASES) == 256
+    digest = hashlib.sha256(repr(_FJ_BASES).encode()).hexdigest()
+    assert digest == "6c218e36dc2ba7f6e7d1fe7ae2975206e535da641df325185fef31f78dfeacb6"
+
+
+def test_is_prime_matches_naive_oracle_on_seeded_odd_n_near_2_32():
+    rng = random.Random(20150127)
+    for n in (rng.randrange(2**32 - 2**20, 2**32) | 1 for _ in range(300)):
+        assert _is_prime(n) == (_naive_factor(n) == {n: 1}), n
 
 
 def test_factor_matches_naive_oracle_on_large_primes_and_semiprimes():
