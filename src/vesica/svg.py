@@ -61,7 +61,7 @@ def fixed(value: float, decimals: int) -> str:
     """Format with exactly `decimals` fraction digits, ties away from zero, never -0:
     floats by the correctly rounded formatter, ties, ints and -0 by exact integers.
     This is the exact rule for every SVG number, and the renderers' fallback."""
-    if not math.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):  # an int is finite at any size
         raise VesicaError(f"cannot format the non-finite value {value}")
     if operator.index(decimals) < 0:
         raise VesicaError(f"cannot format with {decimals} decimals")

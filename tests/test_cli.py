@@ -415,11 +415,18 @@ def test_a_negative_option_value_reads_the_same_in_either_spelling(capsys, argv,
     assert run_cli(capsys, *argv[:-1], f"{option}={value}") == (code, "", err)
 
 
-@pytest.mark.parametrize("distance", ["1e308", "1e-310"])
+@pytest.mark.parametrize("distance", ["1e-310"])
 def test_rectify_overflowing_distance_exits_2(capsys, distance):
     code, out, err = run_cli(capsys, "rectify", "--distance", distance)
     assert code == 2 and out == ""
     assert "implied pi" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("distance", ["1e308", repr(sys.float_info.max)])
+def test_rectify_largest_distance_prints_2(capsys, distance):
+    code, out, err = run_cli(capsys, "rectify", "--distance", distance)
+    assert (code, err) == (0, "")
+    assert out.split()[::2] == ["custom", "2.00000"]
 
 
 # --- error handling ---------------------------------------------------------------------

@@ -896,14 +896,32 @@ def test_the_cursor_raises_when_a_builder_refuses_what_its_steps_passed(monkeypa
         dsl._cursor_statement("line L = A B", 3)
 
 
-def test_the_cursor_keeps_the_tokens_of_the_longest_statement_and_one_more():
+def test_the_cursor_stops_at_a_trailing_token_unless_a_stray_character_follows():
     longest = "point A = (-1, -2)"
-    assert dsl._MOST_TOKENS == sum(1 for m in dsl._TOKEN_RE.finditer(longest) if m.lastgroup) + 1 == 11
     with pytest.raises(ParseError, match=r"^line 1, column 19: unexpected trailing token '\)'$"):
         dsl._cursor_statement(longest + ")" * 100_000, 1)
     with pytest.raises(ParseError, match=r"^line 1, column 100019: unexpected character ';'$"):
         dsl._cursor_statement(longest + ")" * 100_000 + ";", 1)  # a stray character wins anywhere
 
+
+_LONGEST_LINE = 1 << 20  # the longest line `vesica run` reads
+
+
+@pytest.mark.parametrize("line, message", [
+    pytest.param("point A = (., 2)", "column 12: unexpected character '.'", id="early-dot"),
+    pytest.param("point A = (+1, 2)", "column 12: unexpected character '+'", id="early-plus"),
+    pytest.param("point A = (1, 2).", "column 17: unexpected character '.'", id="trailing-dot"),
+    pytest.param("line L = A B é", "column 14: unexpected character 'é'", id="non-ascii-after-statement"),
+    pytest.param("line 1 = A B ;", "column 14: unexpected character ';'", id="stray-after-offending-token"),
+    pytest.param("point A = (1, 2)" + ")" * (_LONGEST_LINE - 17) + ".",
+                 f"column {_LONGEST_LINE}: unexpected character '.'", id="trailing-dot-2^20"),
+])
+def test_a_malformed_line_reports_its_first_stray_character(line, message):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as caught:
+        parse(line)
+    assert time.perf_counter() - start < 1.0
+    assert str(caught.value) == f"line 1, {message}"
 
 
 def _first_stray_by_walk(line: str) -> str | None:
@@ -914,8 +932,8 @@ def _first_stray_by_walk(line: str) -> str | None:
 
 @given(tail=st.text(alphabet=" \t#.+e5x_=(),-;\r\x0cé١", max_size=30))
 def test_the_cursor_finds_the_stray_character_a_full_token_walk_finds(tail):
-    # The longest statement fills the cursor's tokens; the tail is searched
-    # past them, at once or by a walk when it holds a '.' or '+'.
+    # A stray character in the tail wins over any offending token before it,
+    # and none is found after a '#', which starts a comment.
     line = "point A = (-1, -2)" + tail
     want = _first_stray_by_walk(line)
     try:

@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import random
+import sys
 
 import mpmath
 import pytest
@@ -482,6 +483,7 @@ def test_rectification_matches_50_digit_oracle():
     rng = random.Random(20261018)
     distances = [SQRT3, 7 / 4, exact_rectifier_distance()]
     distances += [10 ** rng.uniform(-6, 6) for _ in range(200)]
+    distances += [10 ** rng.uniform(6, 308) for _ in range(100)] + [1e308, sys.float_info.max]
     with mpmath.workdps(50):
         for d in distances:
             exact = 2 * (mpmath.mpf(d) + 1) / mpmath.mpf(d)
@@ -503,9 +505,14 @@ def test_rectification_rejects_bad_distance():
 
 
 def test_rectification_rejects_overflowing_pi():
-    for distance in (1e308, 1e-310):
-        with pytest.raises(DomainError):
-            rectified_quadrant(distance)
+    with pytest.raises(DomainError):
+        rectified_quadrant(1e-310)
+
+
+@pytest.mark.parametrize("distance", [1e308, sys.float_info.max])
+def test_rectification_of_the_largest_distances_implies_2(distance):
+    # 2(d + 1)/d would overflow in its numerator; 2 + 2/d does not
+    assert rectified_quadrant(distance).implied_pi == 2.0
 
 
 def test_tempier_limit_equals_vesica_rectification_error():

@@ -62,7 +62,8 @@ def test_fixed_matches_decimal_oracle_on_ties(bits, shift, decimals, sign):
 @pytest.mark.parametrize(
     "value, decimals, text",
     [(640, 2, "640.00"), (True, 2, "1.00"), (2**60 + 1, 0, "1152921504606846977"),
-     (-(2**53 + 1), 0, "-9007199254740993"), (-(2**53 + 1), 2, "-9007199254740993.00")],
+     (-(2**53 + 1), 0, "-9007199254740993"), (-(2**53 + 1), 2, "-9007199254740993.00"),
+     pytest.param(10**400, 2, "1" + "0" * 400 + ".00", id="10**400-2-1e400.00")],
 )
 def test_fixed_formats_ints_exactly(value, decimals, text):
     # an int keeps every digit, even where the nearest float does not
