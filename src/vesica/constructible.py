@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt, prod
 
-from .geometry import VesicaError
+from .geometry import VesicaError, _Record
 
 __all__ = [
     "Obstruction",
@@ -90,8 +90,9 @@ def is_fermat_prime(p: int) -> bool:
     return p in _FERMAT_PRIMES
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Obstruction:
+# The decorators only list the fields, for dataclasses.replace; _Record does the rest.
+@dataclass(slots=True, init=False, repr=False, eq=False, match_args=False)
+class Obstruction(_Record):
     """Why an n-gon is not constructible."""
 
     kind: str  # "repeated-prime" | "non-fermat-prime"
@@ -107,17 +108,11 @@ class Obstruction:
         return f"{self.prime} is not a Fermat prime"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ConstructibilityVerdict:
+@dataclass(slots=True, init=False, repr=False, eq=False, match_args=False)
+class ConstructibilityVerdict(_Record):
     """Factorization evidence for one n: n = 2^power_of_two * prod(odd_primes)
     with their exponents; constructible iff every odd prime is a Fermat prime
-    appearing exactly once.
-
-    Both verdict records are frozen dataclasses, so that ``dataclasses.replace``
-    copies them, with their own ``__init__``: the generated one stores each
-    field through ``object.__setattr__``.  These store through the slots'
-    bound setters, as ``methods.ErrorRow`` does.
-    """
+    appearing exactly once."""
 
     n: int
     constructible: bool
@@ -141,10 +136,9 @@ class ConstructibilityVerdict:
         return f"{self.n}: NOT constructible ({self.obstruction.describe()})"
 
 
-# Taken from the classes the decorator returns: slots=True builds new ones.
-_set_kind, _set_prime = (getattr(Obstruction, name).__set__ for name in Obstruction.__slots__)
+_set_kind, _set_prime = Obstruction._stores
 _set_n, _set_constructible, _set_power_of_two, _set_odd_primes, _set_obstruction = (
-    getattr(ConstructibilityVerdict, name).__set__ for name in ConstructibilityVerdict.__slots__)
+    ConstructibilityVerdict._stores)
 
 
 def _is_prime(n: int) -> bool:

@@ -415,13 +415,18 @@ class _Cursor:
 def _line_patterns() -> dict:
     """keyword -> (its whole-line fullmatch, its builder), compiled on the
     first parse: most vesica commands never parse.  Two words take blanks
-    between them, a symbol and its neighbours need none."""
+    between them, a symbol and its neighbours need none, and the sign of a
+    number is a symbol, as in `B-9`.  A number that starts with `.` right
+    after a name or a number, as in `B.5` or `1e32.0`, is left to the
+    cursor, which reads two tokens there."""
     patterns = {}
     for keyword, (steps, build) in _FORMS.items():
         regex, last = keyword, keyword
         for step in steps.split():
             slot = step.strip("[]")
-            blanks = r"[ \t]+" if last.isalpha() and slot.isalpha() else r"[ \t]*"
+            blanks = r"[ \t]*"
+            if last.isalpha() and slot.isalpha():
+                blanks = r"(?:[ \t]+|(?=-))" if slot in ("R", "I") else r"[ \t]+"
             regex += ("(?:" if step[0] == "[" else "") + blanks + _SLOTS.get(slot, re.escape(slot))
             regex += ")?" if step[-1] == "]" else ""
             last = slot

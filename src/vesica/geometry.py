@@ -49,12 +49,9 @@ class _Record:
     ``__slots__ = ()`` keeps its parent's fields, and ``_stores`` holds each
     field's bound slot setter, taken from the subclass.
 
-    Point, Line, Circle, Num, Selector, Intersect and Program check their
-    arguments in their own __init__, then store through those setters, a call
-    cheaper than this constructor's, as the kernel and method programs build
-    thousands; Divide, one per method program, stores through them unchecked.
-    The frozen dataclasses ``methods.ErrorRow`` and the ``constructible``
-    verdicts store through their own slots' setters the same way.
+    A record that checks its arguments, or that is built by the thousand,
+    has its own __init__ that stores through those setters, a call cheaper
+    than this constructor's.
     """
 
     __slots__ = ()

@@ -201,16 +201,10 @@ def tempier_program(n: int) -> Program:
 
 # --- tables and analysis -------------------------------------------------------
 
-@dataclass(frozen=True, slots=True, init=False)
-class ErrorRow:
-    """One row of a method error table, all angles in radians.
-
-    A frozen dataclass, so that ``dataclasses.replace`` copies a row, with its
-    own ``__init__``: the generated one stores each field through
-    ``object.__setattr__``, which costs more than the closed form the row
-    holds.  This one stores through the slots' bound setters, as ``_Record``
-    does; equality, hashing, repr and ``__match_args__`` stay generated.
-    """
+# The decorator only lists the fields, for dataclasses.replace; _Record does the rest.
+@dataclass(slots=True, init=False, repr=False, eq=False, match_args=False)
+class ErrorRow(_Record):
+    """One row of a method error table, all angles in radians."""
 
     n: int
     exact: float      # 2*pi/n
@@ -226,9 +220,7 @@ class ErrorRow:
         _set_row_rel_error(self, rel_error)
 
 
-# Taken from the class the decorator returns: slots=True builds a new one.
-_set_row_n, _set_row_exact, _set_row_approx, _set_row_error, _set_row_rel_error = (
-    getattr(ErrorRow, name).__set__ for name in ErrorRow.__slots__)
+_set_row_n, _set_row_exact, _set_row_approx, _set_row_error, _set_row_rel_error = ErrorRow._stores
 
 
 class PolygonResult(_Record):

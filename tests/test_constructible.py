@@ -19,7 +19,7 @@ from vesica.constructible import (
     constructible_up_to,
     is_fermat_prime,
 )
-from vesica.geometry import VesicaError
+from vesica.geometry import VesicaError, _Record
 
 # Independent oracle: naive trial-division factorization, then test each odd
 # prime for p-1 being a power of two with exponent one.
@@ -279,7 +279,7 @@ def test_factor_matches_naive_oracle_on_large_primes_and_semiprimes():
 # --- the verdict records ----------------------------------------------------------
 
 
-def test_verdict_records_are_frozen_dataclasses_with_their_own_constructors():
+def test_verdict_records_are_records_with_their_own_constructors():
     obstruction = Obstruction("repeated-prime", 3)
     assert obstruction == Obstruction(kind="repeated-prime", prime=3)
     assert repr(obstruction) == "Obstruction(kind='repeated-prime', prime=3)"
@@ -303,10 +303,14 @@ def test_verdict_records_are_frozen_dataclasses_with_their_own_constructors():
         cls = type(record)
         assert tuple(f.name for f in dataclasses.fields(cls)) == names == cls.__match_args__
         assert not hasattr(record, "__dict__")
+        assert _Record in cls.__mro__
+        assert not {"__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__", "__getstate__",
+                    "__setstate__"} & cls.__dict__.keys()
+        assert cls._stores == tuple(getattr(cls, name).__set__ for name in names)
         for name in names:
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match="cannot assign to field"):
                 setattr(record, name, 1)
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match="cannot delete field"):
                 delattr(record, name)
         assert copy.copy(record) == record and pickle.loads(pickle.dumps(record)) == record
     moved = dataclasses.replace(verdict, obstruction=dataclasses.replace(obstruction, prime=5))

@@ -850,11 +850,21 @@ def test_line_patterns_agree_with_the_cursor(spelled, newline):
         assert error is not None and int(error[1]) <= unicode_digits[0], (line, outcome)
 
 
-@pytest.mark.parametrize("line", ["point A = (-pi, sqrt3)", "point B = ( - sqrt3 , pi )"])
+@pytest.mark.parametrize("line", [
+    "point A = (-pi, sqrt3)", "point B = ( - sqrt3 , pi )",
+    "divide F = A B-9 2", "divide F = A B 9-2", "divide F = A B-9-2",  # a sign right after a word
+])
 def test_line_patterns_read_symbolic_literals(line):
     taken = dsl._matched_statement(line)
     assert taken is not None
     assert repr(taken) == repr(dsl._cursor_statement(line, 1))
+
+
+def test_a_number_starting_with_a_dot_right_after_a_number_is_left_to_the_cursor():
+    line = "divide F = A B 1e32.0"
+    assert dsl._matched_statement(line) is None
+    (stmt,) = parse(line).statements
+    assert stmt == Divide("F", "A", "B", 10**32, 0) and type(stmt.n) is int
 
 
 def test_slot_group_counts_match_their_patterns():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vesica.dsl import evaluate, format_program, parse
-from vesica.geometry import VesicaError
+from vesica.geometry import VesicaError, _Record
 from vesica.methods import (
     DomainError,
     ErrorRow,
@@ -382,7 +382,7 @@ def test_error_table_and_best_method_match_method_angle_bits():
 
 
 
-def test_error_row_is_a_frozen_dataclass_with_its_own_constructor():
+def test_error_row_is_a_record_with_its_own_constructor():
     row = ErrorRow(9, 0.5, 0.25, 0.25, 0.5)
     assert row == ErrorRow(n=9, exact=0.5, approx=0.25, error=0.25, rel_error=0.5)
     assert repr(row) == "ErrorRow(n=9, exact=0.5, approx=0.25, error=0.25, rel_error=0.5)"
@@ -391,10 +391,14 @@ def test_error_row_is_a_frozen_dataclass_with_its_own_constructor():
     names = ("n", "exact", "approx", "error", "rel_error")
     assert tuple(f.name for f in dataclasses.fields(ErrorRow)) == names == ErrorRow.__match_args__
     assert not hasattr(row, "__dict__")
+    assert _Record in ErrorRow.__mro__
+    generated = {"__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__", "__getstate__", "__setstate__"}
+    assert not generated & ErrorRow.__dict__.keys()
+    assert ErrorRow._stores == tuple(getattr(ErrorRow, name).__set__ for name in names)
     for name in names:
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
             setattr(row, name, 1.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot delete field"):
             delattr(row, name)
     moved = dataclasses.replace(row, approx=0.125)
     assert moved == ErrorRow(9, 0.5, 0.125, 0.25, 0.5) and row.approx == 0.25
